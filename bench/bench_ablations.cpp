@@ -93,8 +93,9 @@ int main() {
       }
       std::printf("   verify=%-5s  nersc flow median %6.0f s, retries in "
                   "transfers: yes, corrupted products on disk: %zu/%zu\n",
-                  verify ? "on" : "off", report.nersc_recon.median, corrupted,
-                  files);
+                  verify ? "on" : "off",
+                  report.recon.at("nersc_recon_flow").duration.median,
+                  corrupted, files);
     }
     std::printf("   (checksums trade seconds per transfer for zero silent "
                 "corruption)\n\n");

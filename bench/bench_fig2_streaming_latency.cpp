@@ -63,8 +63,6 @@ int main() {
     const Bytes raw = scan.raw_bytes();
     pipeline::ScanOptions options;
     options.streaming = true;
-    options.run_nersc = false;
-    options.run_alcf = false;
     auto fut = facility.process_scan(scan, options);
     facility.engine().run();
     const auto& rep = fut.value().streaming;

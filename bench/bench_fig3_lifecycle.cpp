@@ -75,8 +75,10 @@ int main() {
 
   std::printf("Orchestration layer (flow durations, s)\n");
   std::printf("  new_file_832:      %s\n", report.new_file.row(0).c_str());
-  std::printf("  nersc_recon_flow:  %s\n", report.nersc_recon.row(0).c_str());
-  std::printf("  alcf_recon_flow:   %s\n\n", report.alcf_recon.row(0).c_str());
+  std::printf("  nersc_recon_flow:  %s\n",
+              report.recon.at("nersc_recon_flow").duration.row(0).c_str());
+  std::printf("  alcf_recon_flow:   %s\n\n",
+              report.recon.at("alcf_recon_flow").duration.row(0).c_str());
 
   std::printf("Access/storage layer (occupancy after pruning)\n");
   auto occupancy = [](const storage::StorageEndpoint& ep) {

@@ -39,7 +39,9 @@ int main() {
                 report.streaming_latency.median,
                 report.streaming_latency.max);
     std::printf("  full volumes back within:  median %s\n\n",
-                human_duration(report.alcf_recon.median).c_str());
+                human_duration(
+                    report.recon.at("alcf_recon_flow").duration.median)
+                    .c_str());
   }
 
   // --- Staff scientist: sparse QA scans, cares about turnaround + uptime ---
@@ -57,9 +59,12 @@ int main() {
     std::printf("[%s]\n", p.name.c_str());
     std::printf("  QA scans run:              %zu\n", report.scans_completed);
     std::printf("  QA turnaround:             median %s (cropped scans)\n",
-                human_duration(report.nersc_recon.median).c_str());
+                human_duration(
+                    report.recon.at("nersc_recon_flow").duration.median)
+                    .c_str());
     std::printf("  flow success rates:        nersc %.2f, alcf %.2f\n\n",
-                report.nersc_success_rate, report.alcf_success_rate);
+                report.recon.at("nersc_recon_flow").success_rate,
+                report.recon.at("alcf_recon_flow").success_rate);
   }
 
   // --- Software engineer: observability through the run database ---

@@ -45,9 +45,11 @@ int main() {
     std::printf("%-18s %4zu %7.0f +/- %-6.0f %6.0f  [%.0f, %.0f]\n", name,
                 s.n, s.mean, s.stddev, s.median, s.min, s.max);
   };
+  const pipeline::ReconFlowReport& nersc = report.recon.at("nersc_recon_flow");
+  const pipeline::ReconFlowReport& alcf = report.recon.at("alcf_recon_flow");
   row("new_file_832", report.new_file);
-  row("nersc_recon_flow", report.nersc_recon);
-  row("alcf_recon_flow", report.alcf_recon);
+  row("nersc_recon_flow", nersc.duration);
+  row("alcf_recon_flow", alcf.duration);
 
   std::printf("\npaper reference:\n");
   std::printf("%-18s %4s %16s %7s %16s\n", "Flow", "N", "Mean +/- SD", "Med.",
@@ -60,12 +62,12 @@ int main() {
               100, 1151, 246, 1114, 710, 1965);
 
   std::printf("\nsuccess rates: nersc %.2f, alcf %.2f\n",
-              report.nersc_success_rate, report.alcf_success_rate);
+              nersc.success_rate, alcf.success_rate);
 
   // Shape assertions the reproduction must preserve.
   const bool ordering_holds =
-      report.new_file.median < report.alcf_recon.median &&
-      report.alcf_recon.median < report.nersc_recon.median;
+      report.new_file.median < alcf.duration.median &&
+      alcf.duration.median < nersc.duration.median;
   const bool heavy_tail = report.new_file.mean > report.new_file.median;
   std::printf("\nshape checks: flow ordering %s, new_file heavy tail %s\n",
               ordering_holds ? "OK" : "VIOLATED",

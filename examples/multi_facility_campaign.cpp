@@ -76,8 +76,10 @@ int main() {
 
   std::printf("flow performance (seconds; N mean+/-sd median [min,max])\n");
   std::printf("  new_file_832:     %s\n", report.new_file.row(0).c_str());
-  std::printf("  nersc_recon_flow: %s\n", report.nersc_recon.row(0).c_str());
-  std::printf("  alcf_recon_flow:  %s\n\n", report.alcf_recon.row(0).c_str());
+  std::printf("  nersc_recon_flow: %s\n",
+              report.recon.at("nersc_recon_flow").duration.row(0).c_str());
+  std::printf("  alcf_recon_flow:  %s\n\n",
+              report.recon.at("alcf_recon_flow").duration.row(0).c_str());
 
   // Stage-level breakdown (the view whole-flow durations hide): where the
   // time goes inside each flow run.

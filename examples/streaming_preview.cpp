@@ -90,8 +90,6 @@ int main() {
   big.cols = 2560;
   pipeline::ScanOptions options;
   options.streaming = true;
-  options.run_nersc = false;
-  options.run_alcf = false;
   auto fut = facility.process_scan(big, options);
   facility.engine().run();
   const auto& report = fut.value().streaming;

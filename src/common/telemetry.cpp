@@ -221,20 +221,26 @@ std::uint64_t Histogram::bucket_count(std::size_t i) const {
 
 double Histogram::quantile_from_buckets(double q, std::uint64_t total) const {
   if (total == 0) return 0.0;
+  const double min_seen = min_.load(std::memory_order_relaxed);
+  const double max_seen = max_.load(std::memory_order_relaxed);
   const double target = q * double(total);
   std::uint64_t cumulative = 0;
   for (std::size_t i = 0; i <= bounds_.size(); ++i) {
     const std::uint64_t in_bucket = buckets_[i].load(std::memory_order_relaxed);
     if (double(cumulative + in_bucket) >= target && in_bucket > 0) {
-      const double lo = i == 0 ? std::min(0.0, min_.load()) : bounds_[i - 1];
-      const double hi = i == bounds_.size() ? max_.load() : bounds_[i];
+      const double lo = i == 0 ? std::min(0.0, min_seen) : bounds_[i - 1];
+      const double hi = i == bounds_.size() ? max_seen : bounds_[i];
       const double frac =
           in_bucket == 0 ? 0.0 : (target - double(cumulative)) / double(in_bucket);
-      return lo + (hi - lo) * std::clamp(frac, 0.0, 1.0);
+      // A bucket edge can lie outside the samples it holds; the estimate
+      // never may. (max/min, not std::clamp: a racing first observe() can
+      // briefly publish min > max.)
+      const double est = lo + (hi - lo) * std::clamp(frac, 0.0, 1.0);
+      return std::max(min_seen, std::min(est, max_seen));
     }
     cumulative += in_bucket;
   }
-  return max_.load(std::memory_order_relaxed);
+  return max_seen;
 }
 
 double Histogram::quantile(double q) const {

@@ -151,8 +151,8 @@ class Histogram {
   // Linearly interpolated quantile estimate from the bucket counts — the
   // same estimator summary() uses for its median/p05/p95. q is clamped to
   // [0, 1]; an empty histogram returns 0. The first bucket interpolates
-  // from min(0, observed min) and the +Inf bucket toward the exact max, so
-  // the estimate never leaves the observed range.
+  // from min(0, observed min) and the +Inf bucket toward the exact max,
+  // and the estimate is clamped to the observed [min, max].
   double quantile(double q) const;
 
   void reset();

@@ -40,6 +40,24 @@ std::string ValidationIssue::render() const {
   return out + ": [" + rule + "] " + message;
 }
 
+TaskSpec task_spec(const std::string& flow, const std::string& name,
+                   std::vector<std::string> deps, bool uses_transfer,
+                   bool uses_hpc) {
+  TaskSpec t;
+  t.name = name;
+  t.depends_on = std::move(deps);
+  t.uses_transfer = uses_transfer;
+  t.uses_hpc = uses_hpc;
+  t.idempotency_key = flow + ":" + name;
+  return t;
+}
+
+TaskOptions keyed(const FlowContext& ctx, const std::string& task) {
+  TaskOptions o;
+  o.idempotency_key = ctx.flow_name + ":" + task + ":" + ctx.parameters;
+  return o;
+}
+
 namespace {
 
 std::string join_path(const std::vector<std::string>& path) {

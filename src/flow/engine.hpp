@@ -102,6 +102,15 @@ struct FlowSpec {
   bool empty() const { return tasks.empty(); }
 };
 
+// The one idempotency-key format. A declared task's key is the static
+// prefix "<flow>:<task>"; keyed() appends the run's parameters (the scan
+// id) at run time, so a retried or resubmitted flow skips the tasks that
+// already succeeded for *this* scan only.
+TaskSpec task_spec(const std::string& flow, const std::string& name,
+                   std::vector<std::string> deps, bool uses_transfer,
+                   bool uses_hpc);
+TaskOptions keyed(const FlowContext& ctx, const std::string& task);
+
 // One rejected property of a flow graph. `task` names the offending task
 // ("" for flow-level issues); `rule` is the machine-readable rejection:
 //   duplicate-task | unknown-dependency | dependency-cycle |

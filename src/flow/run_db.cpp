@@ -4,7 +4,6 @@
 #include <cassert>
 #include <cstdio>
 
-#include "common/telemetry.hpp"
 
 namespace alsflow::flow {
 
@@ -149,59 +148,48 @@ std::vector<TaskRunRecord> RunDatabase::tasks(
   return out;
 }
 
+namespace {
+
+// Durations of the last `last_n` (finished_at, duration) samples.
+std::vector<double> last_durations(
+    const std::vector<std::pair<Seconds, double>>& samples,
+    std::size_t last_n) {
+  const std::size_t start =
+      samples.size() > last_n ? samples.size() - last_n : 0;
+  std::vector<double> out;
+  out.reserve(samples.size() - start);
+  for (std::size_t i = start; i < samples.size(); ++i) {
+    out.push_back(samples[i].second);
+  }
+  return out;
+}
+
+// Exact order statistics: the raw samples are at hand, so there is no
+// reason to estimate them through histogram buckets.
+RunDatabase::TaskQuantiles exact_quantiles(std::vector<double> durations) {
+  RunDatabase::TaskQuantiles q;
+  q.n = durations.size();
+  std::sort(durations.begin(), durations.end());
+  q.p50 = percentile_sorted(durations, 0.50);
+  q.p95 = percentile_sorted(durations, 0.95);
+  q.p99 = percentile_sorted(durations, 0.99);
+  return q;
+}
+
+}  // namespace
+
 Summary RunDatabase::task_duration_summary(const std::string& flow_name,
                                            const std::string& task_name,
                                            std::size_t last_n) const {
-  LockGuard lock(mu_);
-  std::vector<double> durations;
-  for (const auto& t : task_runs_) {
-    if (t.task_name != task_name) continue;
-    if (t.state != RunState::Completed) continue;
-    if (t.started_at < 0.0 || t.finished_at < 0.0) continue;
-    if (!flow_name.empty()) {
-      auto it = runs_.find(t.flow_run_id);
-      if (it == runs_.end() || it->second.flow_name != flow_name) continue;
-    }
-    durations.push_back(t.finished_at - t.started_at);
-  }
-  if (durations.size() > last_n) {
-    durations.erase(durations.begin(),
-                    durations.end() - std::ptrdiff_t(last_n));
-  }
-  return summarize(std::move(durations));
+  return summarize(
+      last_durations(completed_task_durations(flow_name, task_name), last_n));
 }
 
 RunDatabase::TaskQuantiles RunDatabase::task_duration_quantiles(
     const std::string& flow_name, const std::string& task_name,
     std::size_t last_n) const {
-  LockGuard lock(mu_);
-  std::vector<double> durations;
-  for (const auto& t : task_runs_) {
-    if (t.task_name != task_name) continue;
-    if (t.state != RunState::Completed) continue;
-    if (t.started_at < 0.0 || t.finished_at < 0.0) continue;
-    if (!flow_name.empty()) {
-      auto it = runs_.find(t.flow_run_id);
-      if (it == runs_.end() || it->second.flow_name != flow_name) continue;
-    }
-    durations.push_back(t.finished_at - t.started_at);
-  }
-  if (durations.size() > last_n) {
-    durations.erase(durations.begin(),
-                    durations.end() - std::ptrdiff_t(last_n));
-  }
-  TaskQuantiles q;
-  q.n = durations.size();
-  if (q.n == 0) return q;
-  // Geometric bounds spanning sub-second staging steps to hour-long HPC
-  // waits; the interpolated estimate is exact within a bucket's span.
-  telemetry::Histogram hist(
-      {0.5, 1, 2, 5, 10, 20, 40, 80, 160, 320, 640, 1280, 2560, 5120});
-  for (double d : durations) hist.observe(d);
-  q.p50 = hist.quantile(0.50);
-  q.p95 = hist.quantile(0.95);
-  q.p99 = hist.quantile(0.99);
-  return q;
+  return exact_quantiles(
+      last_durations(completed_task_durations(flow_name, task_name), last_n));
 }
 
 std::vector<std::pair<Seconds, double>> RunDatabase::completed_task_durations(
@@ -279,24 +267,7 @@ RunDatabase::TaskQuantiles merged_task_duration_quantiles(
     }
   }
   std::sort(samples.begin(), samples.end());
-  std::vector<double> durations;
-  const std::size_t start =
-      samples.size() > last_n ? samples.size() - last_n : 0;
-  for (std::size_t i = start; i < samples.size(); ++i) {
-    durations.push_back(samples[i].second);
-  }
-  RunDatabase::TaskQuantiles q;
-  q.n = durations.size();
-  if (q.n == 0) return q;
-  // Identical bucket geometry to the single-DB query, so a merged shard
-  // set reproduces the unsharded golden numbers exactly.
-  telemetry::Histogram hist(
-      {0.5, 1, 2, 5, 10, 20, 40, 80, 160, 320, 640, 1280, 2560, 5120});
-  for (double d : durations) hist.observe(d);
-  q.p50 = hist.quantile(0.50);
-  q.p95 = hist.quantile(0.95);
-  q.p99 = hist.quantile(0.99);
-  return q;
+  return exact_quantiles(last_durations(samples, last_n));
 }
 
 }  // namespace alsflow::flow

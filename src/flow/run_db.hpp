@@ -116,10 +116,10 @@ class RunDatabase {
                                 const std::string& task_name,
                                 std::size_t last_n = 100) const;
 
-  // p50/p95/p99 of the same sample set task_duration_summary aggregates,
-  // estimated through a telemetry::Histogram so the Table-2 report
-  // exercises the identical bucket-interpolation path the SLO engine's
-  // summaries use. n = 0 when no completed records match.
+  // p50/p95/p99 of the same sample set task_duration_summary aggregates:
+  // exact order statistics (percentile_sorted), so min <= p50 <= p95 <=
+  // p99 <= max always holds. n = 0 (and every quantile 0) when no
+  // completed records match.
   struct TaskQuantiles {
     std::size_t n = 0;
     double p50 = 0.0;

@@ -118,10 +118,10 @@ CampaignReport run_campaign(Facility& facility, const CampaignConfig& config) {
   report.scans_completed = facility.scans_completed();
   report.raw_bytes = facility.raw_bytes_ingested();
   report.new_file = db.duration_summary("new_file_832", 100);
-  report.nersc_recon = db.duration_summary("nersc_recon_flow", 100);
-  report.alcf_recon = db.duration_summary("alcf_recon_flow", 100);
-  report.nersc_success_rate = db.success_rate("nersc_recon_flow");
-  report.alcf_success_rate = db.success_rate("alcf_recon_flow");
+  for (const auto& info : facility.directory().facilities()) {
+    report.recon[info.flow_name] = {db.duration_summary(info.flow_name, 100),
+                                    db.success_rate(info.flow_name)};
+  }
 
   std::vector<double> latencies;
   for (const auto& outcome : facility.completed_outcomes()) {

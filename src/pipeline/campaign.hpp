@@ -9,6 +9,7 @@
 // engineer's maintenance ops are the pruning schedules.
 #pragma once
 
+#include <map>
 #include <string>
 #include <vector>
 
@@ -59,16 +60,21 @@ struct CampaignConfig {
   Seconds drain_margin = hours(12);
 };
 
+// Table-2 figures of one recon flow.
+struct ReconFlowReport {
+  Summary duration;
+  double success_rate = 1.0;
+};
+
 struct CampaignReport {
   std::size_t scans_started = 0;
   std::size_t scans_completed = 0;
   Bytes raw_bytes = 0;
   Summary new_file;         // per-flow duration summaries (Table 2)
-  Summary nersc_recon;
-  Summary alcf_recon;
+  // One entry per directory facility, keyed by its recon flow name
+  // ("nersc_recon_flow", "alcf_recon_flow", "cloud_recon_flow").
+  std::map<std::string, ReconFlowReport> recon;
   Summary streaming_latency;
-  double nersc_success_rate = 1.0;
-  double alcf_success_rate = 1.0;
 };
 
 // Drive `config.duration` of scans through the facility and run the

@@ -1,36 +1,27 @@
 #include "pipeline/facility.hpp"
 
 #include <cassert>
+#include <cstdlib>
 
 #include "common/checksum.hpp"
 #include "common/log.hpp"
 
 namespace alsflow::pipeline {
 
+using flow::keyed;
+using flow::task_spec;
+
 namespace {
 
-// Declared task graph entry. The spec'd idempotency key is the static
-// prefix; run time appends the scan id (see keyed() below) so a retried
-// flow skips completed work for *this* scan only.
-flow::TaskSpec task_spec(const std::string& flow, const std::string& name,
-                         std::vector<std::string> deps, bool uses_transfer,
-                         bool uses_hpc) {
-  flow::TaskSpec t;
-  t.name = name;
-  t.depends_on = std::move(deps);
-  t.uses_transfer = uses_transfer;
-  t.uses_hpc = uses_hpc;
-  t.idempotency_key = flow + ":" + name;
-  return t;
-}
-
-// Scan-scoped idempotency key for a task invocation: flow retries skip
-// tasks that already succeeded for this scan, instead of re-running the
-// transfer / HPC job (the paper's idempotent re-execution contract).
-flow::TaskOptions keyed(const flow::FlowContext& ctx, const char* task) {
-  flow::TaskOptions o;
-  o.idempotency_key = ctx.flow_name + ":" + task + ":" + ctx.parameters;
-  return o;
+// FacilityConfig::policy resolves through the same names as the fleet's.
+std::unique_ptr<sched::PlacementPolicy> placement_policy(
+    const std::string& name) {
+  auto policy = sched::make_policy(name);
+  if (policy == nullptr) {
+    log_error("facility") << "unknown placement policy '" << name << "'";
+    std::abort();
+  }
+  return policy;
 }
 
 }  // namespace
@@ -63,7 +54,8 @@ Facility::Facility(FacilityConfig config)
       cloud_s3_("cloud-s3", storage::Tier::Eagle, 2000 * TiB),
       esnet_cloud_(eng_, "esnet-cloud", gbps(config.esnet_cloud_gbps), 0.04),
       cloud_(eng_, config.compute),
-      scheduler_(eng_, flows_, directory_, placement_policy_) {
+      policy_(placement_policy(config.policy)),
+      scheduler_(eng_, flows_, directory_, *policy_) {
   // Globus routes between every endpoint pair in use.
   globus_.add_route("als-acq", "als-data", &lan_);
   globus_.add_route("als-data", "nersc-cfs", &esnet_nersc_);
@@ -113,9 +105,9 @@ Facility::Facility(FacilityConfig config)
 
   register_flows();
 
-  // Placement targets for Scheduled scans: every route is a candidate;
-  // capacity hints mirror each site's concurrency (nodes, pilot workers,
-  // an elastic-but-slower cloud pool).
+  // Placement targets: every route is a candidate; capacity hints mirror
+  // each site's concurrency (nodes, pilot workers, an elastic-but-slower
+  // cloud pool).
   auto add_target = [this](const ReconRoute& route, double capacity) {
     sched::FacilityInfo info;
     info.name = route.facility;
@@ -302,7 +294,7 @@ sim::Future<Status> Facility::recon_route_flow(flow::FlowContext ctx,
         co_return outcome.status;
       };
   Status moved = co_await flows_.run_task(ctx, route->to_remote_task, moved_task,
-                              keyed(ctx, route->to_remote_task.c_str()));
+                              keyed(ctx, route->to_remote_task));
   if (!moved.ok()) co_return moved;
 
   // Task 2: the facility's reconstruction submission (Slurm realtime job
@@ -331,7 +323,7 @@ sim::Future<Status> Facility::recon_route_flow(flow::FlowContext ctx,
                                      fnv1a64(remote_recon), eng_.now());
       };
   Status recon = co_await flows_.run_task(ctx, route->recon_task, recon_task,
-                              keyed(ctx, route->recon_task.c_str()));
+                              keyed(ctx, route->recon_task));
   if (!recon.ok()) co_return recon;
 
   // Task 3: move the reconstruction products back to the beamline.
@@ -514,43 +506,26 @@ sim::Future<ScanOutcome> Facility::process_scan_impl(data::ScanMetadata scan,
   (void)co_await write_event;
   raw_bytes_ingested_ += scan.raw_bytes();
 
-  // Staging + metadata flow, then both HPC branches in parallel.
+  // Staging + metadata flow, then the scheduler places the recon: both DOE
+  // sites under static_dual, one chosen site (with failover) otherwise.
   auto new_file = co_await flows_.run_flow("new_file_832", scan.scan_id);
   outcome.new_file_status = new_file.status;
 
-  if (options.placement == PlacementMode::Scheduled) {
-    // Dynamic placement: one scheduler decision instead of unconditional
-    // dual branches. The scheduler launches the chosen route's registered
-    // flow and handles failover/hedging internally.
-    sched::ScanRequest req;
-    req.scan_id = scan.scan_id;
-    req.raw_bytes = scan.raw_bytes();
-    req.recon_bytes = scan.recon_bytes();
-    req.nz = scan.rows;
-    req.n = scan.cols;
-    req.deadline = options.deadline;
-    outcome.sched = co_await scheduler_.submit(std::move(req));
-    if (options.archive && outcome.sched->completed &&
-        outcome.sched->facility == "nersc") {
-      // Tape archival needs the products on CFS, so only a NERSC win
-      // triggers it (background; scan completion does not wait on tape).
-      flows_.submit_flow("hpss_archive_flow", scan.scan_id);
-    }
-  } else {
-    std::optional<sim::Future<flow::FlowRunResult>> nersc_fut, alcf_fut;
-    if (options.run_nersc) {
-      nersc_fut = flows_.run_flow("nersc_recon_flow", scan.scan_id);
-    }
-    if (options.run_alcf) {
-      alcf_fut = flows_.run_flow("alcf_recon_flow", scan.scan_id);
-    }
-    if (nersc_fut) outcome.nersc = co_await *nersc_fut;
-    if (alcf_fut) outcome.alcf = co_await *alcf_fut;
-    if (options.archive && outcome.nersc &&
-        outcome.nersc->state == flow::RunState::Completed) {
-      // Long-term archival proceeds in the background; scan completion
-      // does not wait on tape.
-      flows_.submit_flow("hpss_archive_flow", scan.scan_id);
+  sched::ScanRequest req;
+  req.scan_id = scan.scan_id;
+  req.raw_bytes = scan.raw_bytes();
+  req.recon_bytes = scan.recon_bytes();
+  req.nz = scan.rows;
+  req.n = scan.cols;
+  outcome.recon = co_await scheduler_.submit(std::move(req));
+  if (options.archive) {
+    // Tape archival needs the products on CFS, so only a completed NERSC
+    // run triggers it (background; scan completion does not wait on tape).
+    for (const sched::AttemptRecord& a : outcome.recon.attempts) {
+      if (a.facility == "nersc" && a.result == "completed") {
+        flows_.submit_flow("hpss_archive_flow", scan.scan_id);
+        break;
+      }
     }
   }
   if (options.streaming) {
@@ -566,12 +541,7 @@ sim::Future<ScanOutcome> Facility::process_scan_impl(data::ScanMetadata scan,
     ev.kind = "e2e";
     ev.target = scan.scan_id;
     ev.value = outcome.finished_at - outcome.started_at;
-    ev.ok = outcome.new_file_status.ok() &&
-            (!outcome.nersc ||
-             outcome.nersc->state == flow::RunState::Completed) &&
-            (!outcome.alcf ||
-             outcome.alcf->state == flow::RunState::Completed) &&
-            (!outcome.sched || outcome.sched->completed);
+    ev.ok = outcome.new_file_status.ok() && outcome.recon.completed;
     tel.emit(ev);
   }
   ++scans_completed_;

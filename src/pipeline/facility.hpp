@@ -5,8 +5,8 @@
 //   Orchestration— FlowEngine + RunDatabase with the production flows
 //                  (new_file_832 plus one route-table recon flow per
 //                  facility: nersc, alcf, cloud) and scheduled pruning
-//                  flows; a FederatedScheduler places Scheduled scans
-//                  across the routes dynamically
+//                  flows; a FederatedScheduler places every scan's
+//                  reconstruction under FacilityConfig::policy
 //   Movement     — Globus TransferService over ESnet links; streaming via
 //                  the PVA mirror + ZeroMQ return path
 //   Compute      — Perlmutter (Slurm + SFAPI, realtime QOS) and Polaris
@@ -15,8 +15,9 @@
 //   Access       — SciCat metadata catalogue (+ TiledService at library
 //                  level for real-pixel runs)
 //
-// process_scan() drives one acquisition through every enabled branch and
-// returns when all branches finish; benches call it at production cadence.
+// process_scan() drives one acquisition through streaming, staging and the
+// scheduler's recon placement, and returns when all of them finish; benches
+// call it at production cadence.
 #pragma once
 
 #include <map>
@@ -75,36 +76,25 @@ struct FacilityConfig {
   // Fail-early + remote auto-cancel (the post-incident behaviour).
   bool fail_early = true;
 
+  // Recon placement policy, by sched::make_policy name. "static_dual" is
+  // the paper's production configuration: every scan reconstructs at both
+  // NERSC and ALCF.
+  std::string policy = "static_dual";
+
   hpc::ComputeModel compute;
 };
 
-// How the facility routes a scan's reconstruction:
-//   StaticDual — the paper's production configuration: run the enabled
-//                branches (NERSC and/or ALCF) unconditionally.
-//   Scheduled  — hand the scan to the FederatedScheduler, which places it
-//                at whichever registered facility the policy predicts is
-//                fastest right now (with failover if that site goes dark).
-enum class PlacementMode { StaticDual, Scheduled };
-
 struct ScanOptions {
   bool streaming = false;
-  bool run_nersc = true;
-  bool run_alcf = true;
-  // Archive raw + reconstruction to HPSS tape after the NERSC branch
+  // Archive raw + reconstruction to HPSS tape after a NERSC recon run
   // completes (Section 4.2.3: long-term archival through Slurm/SFAPI).
   bool archive = true;
-  PlacementMode placement = PlacementMode::StaticDual;
-  // Completion deadline for Scheduled scans (<= 0: none); deadline scans
-  // are hedge-eligible under a hedging policy.
-  Seconds deadline = 0.0;
 };
 
 struct ScanOutcome {
   data::ScanMetadata scan;
   Status new_file_status = Status::success();
-  std::optional<flow::FlowRunResult> nersc;
-  std::optional<flow::FlowRunResult> alcf;
-  std::optional<sched::ScanResult> sched;  // Scheduled placement outcome
+  sched::ScanResult recon;  // the scheduler's placement and its attempts
   std::optional<StreamingReport> streaming;
   Seconds started_at = 0.0;
   Seconds finished_at = 0.0;
@@ -153,7 +143,8 @@ class Facility {
   void start_pruning(Seconds period = hours(12));
 
   // Drive one scan end to end: acquisition -> file write -> new_file_832
-  // -> enabled branches. Resolves when every branch completes.
+  // -> scheduled recon (plus the streaming preview, if asked for).
+  // Resolves when all of them complete.
   // (Wrapper over the coroutine impl: see flow/engine.hpp on GCC 12.)
   sim::Future<ScanOutcome> process_scan(data::ScanMetadata scan,
                                         ScanOptions options) {
@@ -270,9 +261,9 @@ class Facility {
   Bytes raw_bytes_ingested_ = 0;
   std::vector<ScanOutcome> outcomes_;
 
-  // Federated scheduling (appended after the legacy members: none of
-  // these schedule simulation events at construction, so default
-  // StaticDual campaigns remain byte-identical to the pre-sched world).
+  // Federated scheduling. Appended after the older members, and none of
+  // these schedules a simulation event at construction: that keeps
+  // static_dual campaigns byte-identical to BENCH_chaos_campaign.json.
   storage::StorageEndpoint cloud_s3_;
   net::Link esnet_cloud_;
   hpc::CloudBurstAdapter cloud_;
@@ -280,7 +271,7 @@ class Facility {
   ReconRoute alcf_route_;
   ReconRoute cloud_route_;
   sched::FacilityDirectory directory_;
-  sched::GreedyPolicy placement_policy_;
+  std::unique_ptr<sched::PlacementPolicy> policy_;
   sched::FederatedScheduler scheduler_;
 };
 

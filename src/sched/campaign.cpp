@@ -2,44 +2,14 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <cstring>
 #include <utility>
+
+#include "common/checksum.hpp"
 
 namespace alsflow::sched {
 
-namespace {
-
-// Scan-scoped idempotency key (same contract as the pipeline flows): a
-// failover resubmission of the same (flow, scan) pair skips stages the
-// stalled run already completed.
-flow::TaskOptions keyed(const flow::FlowContext& ctx, const char* task) {
-  flow::TaskOptions o;
-  o.idempotency_key = ctx.flow_name + ":" + task + ":" + ctx.parameters;
-  return o;
-}
-
-flow::TaskSpec task_spec(const std::string& flow, const std::string& name,
-                         std::vector<std::string> deps, bool uses_transfer,
-                         bool uses_hpc) {
-  flow::TaskSpec t;
-  t.name = name;
-  t.depends_on = std::move(deps);
-  t.uses_transfer = uses_transfer;
-  t.uses_hpc = uses_hpc;
-  t.idempotency_key = flow + ":" + name;
-  return t;
-}
-
-// Order-sensitive FNV-1a (the campaign determinism fingerprint).
-void fnv_mix(std::uint64_t* h, const void* data, std::size_t nbytes) {
-  const unsigned char* p = static_cast<const unsigned char*>(data);
-  for (std::size_t i = 0; i < nbytes; ++i) {
-    *h ^= p[i];
-    *h *= 1099511628211ull;
-  }
-}
-
-}  // namespace
+using flow::keyed;
+using flow::task_spec;
 
 FleetWorld::FleetWorld(FleetCampaignConfig config)
     : config_(std::move(config)),
@@ -78,9 +48,7 @@ FleetWorld::FleetWorld(FleetCampaignConfig config)
     add_route("cloud", &cloud_, &esnet_cloud_, 16.0);
   }
 
-  const std::string shard_policy =
-      config_.policy == "static_dual" ? "round_robin" : config_.policy;
-  fleet_ = std::make_unique<Fleet>(eng_, directory_, shard_policy,
+  fleet_ = std::make_unique<Fleet>(eng_, directory_, config_.policy,
                                    config_.scheduler);
   for (int b = 0; b < config_.beamlines; ++b) {
     char name[16];
@@ -165,25 +133,6 @@ sim::Future<Status> FleetWorld::recon_flow(flow::FlowContext ctx,
                                     keyed(ctx, "stage_back"));
 }
 
-sim::Future<ScanResult> FleetWorld::static_dual_scan(Fleet::Shard* shard,
-                                                     ScanRequest scan) {
-  ScanResult res;
-  res.scan_id = scan.scan_id;
-  res.submitted_at = eng_.now();
-  res.reason = "static_dual";
-  // The paper's dual-branch configuration: every scan reconstructs at
-  // both DOE facilities, unconditionally.
-  auto nersc_fut = shard->flows->run_flow("recon_nersc", scan.scan_id);
-  auto alcf_fut = shard->flows->run_flow("recon_alcf", scan.scan_id);
-  const flow::FlowRunResult nersc_res = co_await nersc_fut;
-  const flow::FlowRunResult alcf_res = co_await alcf_fut;
-  res.completed = nersc_res.state == flow::RunState::Completed &&
-                  alcf_res.state == flow::RunState::Completed;
-  res.facility = "dual";
-  res.finished_at = eng_.now();
-  co_return res;
-}
-
 ScanRequest FleetWorld::make_scan(Rng* rng, const std::string& beamline,
                                   int index) {
   // Production-mix volume shapes, heavy enough that facility capacity —
@@ -205,7 +154,6 @@ ScanRequest FleetWorld::make_scan(Rng* rng, const std::string& beamline,
 
 FleetCampaignReport FleetWorld::run() {
   Rng rng(config_.seed);
-  const bool dual = config_.policy == "static_dual";
   std::vector<std::shared_ptr<sim::SharedState<ScanResult>>> results;
   results.reserve(std::size_t(config_.beamlines) *
                   std::size_t(config_.scans_per_beamline));
@@ -214,7 +162,6 @@ FleetCampaignReport FleetWorld::run() {
     char name[16];
     std::snprintf(name, sizeof name, "bl-%02d", b + 1);
     const std::string beamline = name;
-    Fleet::Shard* shard = fleet_->shard(beamline);
     // Phase-offset the shards so the fleet's aggregate arrivals are smooth.
     const Seconds offset = config_.scan_interval * double(b) /
                            double(std::max(1, config_.beamlines));
@@ -222,15 +169,9 @@ FleetCampaignReport FleetWorld::run() {
       ScanRequest scan = make_scan(&rng, beamline, i);
       scans_[scan.scan_id] = scan;
       const Seconds at = offset + config_.scan_interval * double(i);
-      if (dual) {
-        eng_.schedule_at(at, [this, shard, scan, &results] {
-          results.push_back(static_dual_scan(shard, scan).state());
-        });
-      } else {
-        eng_.schedule_at(at, [this, beamline, scan, &results] {
-          results.push_back(fleet_->submit(beamline, scan).state());
-        });
-      }
+      eng_.schedule_at(at, [this, beamline, scan, &results] {
+        results.push_back(fleet_->submit(beamline, scan).state());
+      });
     }
   }
 
@@ -242,7 +183,7 @@ FleetCampaignReport FleetWorld::run() {
   rep.offered = results.size();
   std::vector<double> turnarounds;
   turnarounds.reserve(results.size());
-  std::uint64_t h = 14695981039346656037ull;  // FNV-1a offset basis
+  Fnv1a64 h;
   for (const auto& st : results) {
     if (!st->ready()) continue;  // cannot happen once the engine quiesces
     const ScanResult& r = st->value();
@@ -253,27 +194,20 @@ FleetCampaignReport FleetWorld::run() {
       ++rep.lost;
     }
     rep.makespan = std::max(rep.makespan, r.finished_at);
-    fnv_mix(&h, r.scan_id.data(), r.scan_id.size());
-    fnv_mix(&h, r.facility.data(), r.facility.size());
+    h.update(r.scan_id.data(), r.scan_id.size());
+    h.update(r.facility.data(), r.facility.size());
     const double t = r.turnaround();
-    std::uint64_t bits = 0;
-    std::memcpy(&bits, &t, sizeof bits);
-    fnv_mix(&h, &bits, sizeof bits);
+    h.update(&t, sizeof t);
   }
-  rep.digest = h;
+  rep.digest = h.digest();
   rep.turnaround = summarize(turnarounds);
   if (!turnarounds.empty()) {
     std::sort(turnarounds.begin(), turnarounds.end());
     rep.turnaround_p99 = percentile_sorted(turnarounds, 0.99);
   }
-  if (dual) {
-    rep.placements["nersc"] = rep.offered;
-    rep.placements["alcf"] = rep.offered;
-  } else {
-    rep.placements = fleet_->placements();
-    rep.failovers = fleet_->failovers();
-    rep.hedges = fleet_->hedges_launched();
-  }
+  rep.placements = fleet_->placements();
+  rep.failovers = fleet_->failovers();
+  rep.hedges = fleet_->hedges_launched();
   return rep;
 }
 

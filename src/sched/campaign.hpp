@@ -9,11 +9,12 @@
 // one FlowEngine + RunDatabase shard per beamline. Each shard registers
 // the same three-task recon flow per facility (stage raw out -> reconstruct
 // -> stage products back), parameterized by scan id, with idempotency keys
-// so failover resubmission skips completed stages.
+// so failover resubmission skips completed stages. Every scan goes through
+// its shard's FederatedScheduler.
 //
 // The "static_dual" policy is the paper's baseline: every scan runs the
-// NERSC *and* ALCF branches to completion (no decision, double the work) —
-// the configuration the federated scheduler is benchmarked against in
+// NERSC *and* ALCF flows to completion (no decision, double the work) —
+// the configuration the dynamic policies are benchmarked against in
 // BENCH_sched_campaign.json.
 #pragma once
 
@@ -46,7 +47,8 @@ struct FleetCampaignConfig {
   // Arrival spacing per beamline (shards are phase-offset so the fleet's
   // aggregate load is smooth).
   Seconds scan_interval = 60.0;
-  // "static_dual" | "round_robin" | "greedy" | "hedged"
+  // A sched::make_policy name: "static_dual" | "round_robin" | "greedy" |
+  // "hedged".
   std::string policy = "greedy";
 
   // Shared facility sizing.
@@ -118,10 +120,6 @@ class FleetWorld {
   sim::Future<Status> recon_flow(flow::FlowContext ctx, const Route* route);
   void register_shard_flows(const std::string& beamline,
                             flow::FlowEngine& flows);
-
-  // Baseline: run the NERSC and ALCF flows to completion for one scan.
-  sim::Future<ScanResult> static_dual_scan(Fleet::Shard* shard,
-                                           ScanRequest scan);
 
   ScanRequest make_scan(Rng* rng, const std::string& beamline, int index);
 

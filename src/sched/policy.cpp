@@ -15,7 +15,54 @@ constexpr Seconds kSickTier = 1e12;
 // unreachable (worse than sick): the bytes cannot move at all right now.
 constexpr Seconds kUnreachable = 1e15;
 
+// Best and runner-up available sites under the greedy cost model; sick
+// sites rank behind every healthy one. An index is -1 when absent.
+struct Ranking {
+  int best = -1, runner_up = -1;
+  Seconds best_rank = 0.0, runner_rank = 0.0;
+};
+
+Ranking rank_sites(const GreedyPolicy& model, double min_health,
+                   const ScanRequest& scan,
+                   const std::vector<FacilityState>& facilities) {
+  Ranking r;
+  for (std::size_t i = 0; i < facilities.size(); ++i) {
+    const FacilityState& f = facilities[i];
+    if (!f.available) continue;
+    Seconds rank = model.predicted_turnaround(scan, f);
+    if (f.health < min_health) rank += kSickTier;
+    if (r.best < 0 || rank < r.best_rank) {
+      r.runner_up = r.best;
+      r.runner_rank = r.best_rank;
+      r.best = int(i);
+      r.best_rank = rank;
+    } else if (r.runner_up < 0 || rank < r.runner_rank) {
+      r.runner_up = int(i);
+      r.runner_rank = rank;
+    }
+  }
+  return r;
+}
+
 }  // namespace
+
+Placement StaticDualPolicy::place(
+    const ScanRequest& scan, const std::vector<FacilityState>& facilities) {
+  (void)scan;
+  Placement p;
+  for (const char* site : {"nersc", "alcf"}) {
+    for (const FacilityState& f : facilities) {
+      if (f.name != site) continue;
+      if (p.primary.empty()) {
+        p.primary = f.name;
+      } else {
+        p.replicas.push_back(f.name);
+      }
+    }
+  }
+  p.reason = "static_dual";
+  return p;
+}
 
 Placement RoundRobinPolicy::place(
     const ScanRequest& scan, const std::vector<FacilityState>& facilities) {
@@ -61,66 +108,33 @@ Seconds GreedyPolicy::predicted_turnaround(const ScanRequest& scan,
 
 Placement GreedyPolicy::place(const ScanRequest& scan,
                               const std::vector<FacilityState>& facilities) {
-  int best = -1, runner_up = -1;
-  Seconds best_rank = 0.0, runner_rank = 0.0;
-  for (std::size_t i = 0; i < facilities.size(); ++i) {
-    const FacilityState& f = facilities[i];
-    if (!f.available) continue;
-    Seconds rank = predicted_turnaround(scan, f);
-    if (f.health < cfg_.min_health) rank += kSickTier;
-    if (best < 0 || rank < best_rank) {
-      runner_up = best;
-      runner_rank = best_rank;
-      best = int(i);
-      best_rank = rank;
-    } else if (runner_up < 0 || rank < runner_rank) {
-      runner_up = int(i);
-      runner_rank = rank;
-    }
-  }
-  (void)runner_up;
-  (void)runner_rank;
+  const Ranking r = rank_sites(*this, cfg_.min_health, scan, facilities);
   Placement p;
-  if (best < 0) return p;
-  p.primary = facilities[std::size_t(best)].name;
+  if (r.best < 0) return p;
+  p.primary = facilities[std::size_t(r.best)].name;
   char reason[128];
   std::snprintf(reason, sizeof reason, "greedy: %s predicted %.0fs",
-                p.primary.c_str(), double(best_rank));
+                p.primary.c_str(), double(r.best_rank));
   p.reason = reason;  // greedy places exactly one attempt, never a hedge
   return p;
 }
 
 Placement HedgedPolicy::place(const ScanRequest& scan,
                               const std::vector<FacilityState>& facilities) {
-  // Rank with the greedy cost model, keeping the runner-up this time.
-  int best = -1, runner_up = -1;
-  Seconds best_rank = 0.0, runner_rank = 0.0;
-  for (std::size_t i = 0; i < facilities.size(); ++i) {
-    const FacilityState& f = facilities[i];
-    if (!f.available) continue;
-    Seconds rank = greedy_.predicted_turnaround(scan, f);
-    if (f.health < cfg_.greedy.min_health) rank += kSickTier;
-    if (best < 0 || rank < best_rank) {
-      runner_up = best;
-      runner_rank = best_rank;
-      best = int(i);
-      best_rank = rank;
-    } else if (runner_up < 0 || rank < runner_rank) {
-      runner_up = int(i);
-      runner_rank = rank;
-    }
-  }
+  const Ranking r =
+      rank_sites(greedy_, cfg_.greedy.min_health, scan, facilities);
   Placement p;
-  if (best < 0) return p;
-  p.primary = facilities[std::size_t(best)].name;
+  if (r.best < 0) return p;
+  p.primary = facilities[std::size_t(r.best)].name;
   p.reason = "hedged: " + p.primary;
   // Only deadline scans pay for a backup, and only when a distinct
   // reachable site exists.
-  if (scan.deadline > 0.0 && runner_up >= 0 && runner_rank < kUnreachable) {
-    p.hedge = facilities[std::size_t(runner_up)].name;
-    Seconds delay = best_rank * cfg_.hedge_after_fraction;
+  if (scan.deadline > 0.0 && r.runner_up >= 0 &&
+      r.runner_rank < kUnreachable) {
+    p.hedge = facilities[std::size_t(r.runner_up)].name;
+    Seconds delay = r.best_rank * cfg_.hedge_after_fraction;
     // Leave the backup enough runway to beat the deadline.
-    const Seconds runway = scan.deadline - runner_rank;
+    const Seconds runway = scan.deadline - r.runner_rank;
     if (runway > 0.0) delay = std::min(delay, runway);
     p.hedge_delay = std::max(delay, cfg_.min_hedge_delay);
     p.reason += " hedge " + p.hedge;
@@ -129,6 +143,7 @@ Placement HedgedPolicy::place(const ScanRequest& scan,
 }
 
 std::unique_ptr<PlacementPolicy> make_policy(const std::string& name) {
+  if (name == "static_dual") return std::make_unique<StaticDualPolicy>();
   if (name == "round_robin") return std::make_unique<RoundRobinPolicy>();
   if (name == "greedy") return std::make_unique<GreedyPolicy>();
   if (name == "hedged") return std::make_unique<HedgedPolicy>();

@@ -8,8 +8,11 @@
 // Policies may keep internal counters (round-robin's cursor) but may not
 // touch the world.
 //
-// Three shipped policies, mirroring the evaluation ladder in the paper's
+// Four shipped policies, mirroring the evaluation ladder in the paper's
 // federated-facilities companion work:
+//   StaticDualPolicy — the paper's production configuration: every scan
+//                      reconstructs at NERSC *and* ALCF (no decision, 2x
+//                      the work).
 //   RoundRobinPolicy — static baseline: rotate over available sites.
 //   GreedyPolicy     — lowest predicted turnaround: WAN transfer estimate
 //                      (raw out + products back over the live link rate)
@@ -45,6 +48,9 @@ struct ScanRequest {
 
 struct Placement {
   std::string primary;        // "" = nothing placeable right now
+  // Sites launched alongside the primary (a replicated placement). The
+  // scheduler awaits every run and never hedges, fails over or re-places.
+  std::vector<std::string> replicas;
   std::string hedge;          // optional backup facility
   Seconds hedge_delay = 0.0;  // launch the hedge this long after primary
   std::string reason;         // decision trace (tests + flight recorder)
@@ -56,6 +62,16 @@ class PlacementPolicy {
   virtual std::string name() const = 0;
   virtual Placement place(const ScanRequest& scan,
                           const std::vector<FacilityState>& facilities) = 0;
+};
+
+// The paper's dual branch as a policy: NERSC primary, ALCF replica,
+// whatever their availability or health. A site missing from the snapshot
+// is skipped.
+class StaticDualPolicy : public PlacementPolicy {
+ public:
+  std::string name() const override { return "static_dual"; }
+  Placement place(const ScanRequest& scan,
+                  const std::vector<FacilityState>& facilities) override;
 };
 
 // Static baseline: rotate over the available facilities in snapshot
@@ -122,9 +138,10 @@ class HedgedPolicy : public PlacementPolicy {
   GreedyPolicy greedy_;
 };
 
-// Factory for the shipped policies ("round_robin" | "greedy" | "hedged");
-// nullptr for unknown names. Fleet shards each get their own instance so
-// per-policy state (the round-robin cursor) stays shard-local.
+// Factory for the shipped policies ("static_dual" | "round_robin" |
+// "greedy" | "hedged"); nullptr for unknown names. Fleet shards each get
+// their own instance so per-policy state (the round-robin cursor) stays
+// shard-local.
 std::unique_ptr<PlacementPolicy> make_policy(const std::string& name);
 
 }  // namespace alsflow::sched

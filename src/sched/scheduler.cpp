@@ -110,6 +110,18 @@ sim::Future<ScanResult> FederatedScheduler::submit_impl(ScanRequest scan) {
     tried.insert(facility);
     ++launches;
   };
+  // Record how attempt `k` ended. The finish time comes from the run's
+  // record: replicas are awaited in launch order, so one that finished
+  // early is only seen once the runs before it are done.
+  auto settle = [&](std::size_t k, const flow::FlowRunResult& r) {
+    AttemptRecord& a = res.attempts[k];
+    const flow::FlowRunRecord* rec = flows_.db().run(r.run_id);
+    a.finished_at = rec != nullptr ? rec->finished_at : eng_.now();
+    a.result = r.state == flow::RunState::Completed
+                   ? std::string("completed")
+                   : "failed:" + (r.status.ok() ? std::string("unknown")
+                                                : r.status.error().code);
+  };
 
   while (true) {
     if (eng_.now() - res.submitted_at > cfg_.give_up_after) break;  // lost
@@ -125,6 +137,30 @@ sim::Future<ScanResult> FederatedScheduler::submit_impl(ScanRequest scan) {
         continue;
       }
       if (res.reason.empty()) res.reason = p.reason;
+      if (!p.replicas.empty()) {
+        // Replicated placement: launch every site, then await the runs in
+        // launch order (no timers, so no extra engine events). The scan
+        // completes only if every run completed; nothing is hedged,
+        // failed over or re-placed.
+        start(p.primary, /*is_hedge=*/false, /*is_failover=*/false);
+        for (const std::string& site : p.replicas) {
+          start(site, /*is_hedge=*/false, /*is_failover=*/false);
+        }
+        res.completed = true;
+        for (std::size_t k = 0; k < states.size(); ++k) {
+          // A named future, not a braced awaiter temporary (DESIGN.md §7).
+          const sim::Future<flow::FlowRunResult> run(states[k]);
+          const flow::FlowRunResult r = co_await run;
+          settle(attempt_of[k], r);
+          res.completed =
+              res.completed && r.state == flow::RunState::Completed;
+        }
+        if (res.completed) {
+          res.facility = p.primary;
+          res.flow_run_id = states.front()->value().run_id;
+        }
+        break;
+      }
       start(p.primary, /*is_hedge=*/false, /*is_failover=*/launches > 0);
       if (launches > 1) {
         ++failovers_;
@@ -184,17 +220,14 @@ sim::Future<ScanResult> FederatedScheduler::submit_impl(ScanRequest scan) {
 
     // An attempt resolved.
     const flow::FlowRunResult& r = states[std::size_t(winner)]->value();
-    AttemptRecord& a = res.attempts[attempt_of[std::size_t(winner)]];
-    a.finished_at = eng_.now();
+    const std::size_t k = attempt_of[std::size_t(winner)];
+    settle(k, r);
     if (r.state == flow::RunState::Completed) {
-      a.result = "completed";
       res.completed = true;
-      res.facility = a.facility;
+      res.facility = res.attempts[k].facility;
       res.flow_run_id = r.run_id;
       break;
     }
-    a.result = "failed:" + (r.status.ok() ? std::string("unknown")
-                                          : r.status.error().code);
     states.erase(states.begin() + winner);
     attempt_of.erase(attempt_of.begin() + winner);
   }

@@ -32,6 +32,10 @@
 // launched attempt has failed terminally — chaos scenarios must never
 // reach that state (the resilience suite pins zero lost scans).
 //
+// A replicated placement (Placement::replicas, the static_dual policy)
+// skips the state machine: PLACE launches every site, then the scan
+// awaits each run in launch order and completes only if all completed.
+//
 // Sim-thread only; one scheduler per beamline shard (see sched::Fleet).
 #pragma once
 
@@ -70,7 +74,9 @@ struct AttemptRecord {
   std::string facility;
   std::string flow_name;
   Seconds launched_at = 0.0;
-  Seconds finished_at = -1.0;  // -1 while still in flight at scan end
+  // When the attempt's flow run reached a terminal state; -1 if it never
+  // did (still in flight at scan end, or interrupted by a crash).
+  Seconds finished_at = -1.0;
   bool hedge = false;
   bool failover = false;
   // "completed" | "failed:<code>" | "superseded" (another attempt won)
@@ -80,7 +86,8 @@ struct AttemptRecord {
 struct ScanResult {
   std::string scan_id;
   bool completed = false;
-  std::string facility;  // winning facility ("" if lost)
+  // Winning facility, or a replicated placement's primary ("" if lost).
+  std::string facility;
   std::string flow_run_id;
   bool hedged = false;
   bool failed_over = false;

@@ -101,16 +101,17 @@ Seconds makespan(const std::vector<ScanOutcome>& outcomes) {
   return m;
 }
 
-// Zero lost scans, asserted at the outcome level: every branch of every
-// scan reached Completed.
+// Zero lost scans, asserted at the outcome level: both static_dual
+// attempts of every scan (NERSC and ALCF) reached Completed.
 void expect_all_completed(const std::vector<ScanOutcome>& outcomes) {
   for (const auto& o : outcomes) {
     EXPECT_TRUE(o.new_file_status.ok())
         << o.scan.scan_id << ": " << o.new_file_status.error().code;
-    ASSERT_TRUE(o.nersc.has_value());
-    ASSERT_TRUE(o.alcf.has_value());
-    EXPECT_EQ(o.nersc->state, flow::RunState::Completed) << o.scan.scan_id;
-    EXPECT_EQ(o.alcf->state, flow::RunState::Completed) << o.scan.scan_id;
+    EXPECT_TRUE(o.recon.completed) << o.scan.scan_id;
+    ASSERT_EQ(o.recon.attempts.size(), 2u) << o.scan.scan_id;
+    for (const auto& a : o.recon.attempts) {
+      EXPECT_EQ(a.result, "completed") << o.scan.scan_id << " @ " << a.facility;
+    }
   }
 }
 

@@ -127,14 +127,12 @@ TEST(RunDb, TaskDurationQuantilesMatchSummarySampleSet) {
   }
   auto q = db.task_duration_quantiles("f", "t");
   EXPECT_EQ(q.n, 100u);
-  // Bucket-interpolated estimates: loose bounds around the exact ranks.
-  EXPECT_GT(q.p50, 20.0);
-  EXPECT_LT(q.p50, 80.0);
-  EXPECT_GE(q.p95, q.p50);
-  EXPECT_GE(q.p99, q.p95);
-  // Interior buckets interpolate toward their upper bound, so the estimate
-  // is capped by the containing bucket's edge (160 s), not the exact max.
-  EXPECT_LE(q.p99, 160.0);
+  // Exact order statistics over the same samples the summary uses
+  // (linear interpolation between ranks, as percentile_sorted does).
+  EXPECT_DOUBLE_EQ(q.p50, db.task_duration_summary("f", "t").median);
+  EXPECT_DOUBLE_EQ(q.p50, 50.5);
+  EXPECT_DOUBLE_EQ(q.p95, 95.05);
+  EXPECT_DOUBLE_EQ(q.p99, 99.01);
   // last_n windows the same way the summary does.
   EXPECT_EQ(db.task_duration_quantiles("f", "t", 10).n, 10u);
   // No matching records: all-zero result.

@@ -36,11 +36,14 @@ TEST(Facility, SingleScanAllBranches) {
   const ScanOutcome& out = fut.value();
 
   EXPECT_TRUE(out.new_file_status.ok());
-  ASSERT_TRUE(out.nersc.has_value());
-  ASSERT_TRUE(out.alcf.has_value());
   ASSERT_TRUE(out.streaming.has_value());
-  EXPECT_EQ(out.nersc->state, flow::RunState::Completed);
-  EXPECT_EQ(out.alcf->state, flow::RunState::Completed);
+  // Default static_dual placement: NERSC and ALCF both reconstruct.
+  EXPECT_TRUE(out.recon.completed);
+  ASSERT_EQ(out.recon.attempts.size(), 2u);
+  EXPECT_EQ(out.recon.attempts[0].facility, "nersc");
+  EXPECT_EQ(out.recon.attempts[0].result, "completed");
+  EXPECT_EQ(out.recon.attempts[1].facility, "alcf");
+  EXPECT_EQ(out.recon.attempts[1].result, "completed");
   EXPECT_EQ(facility.scans_completed(), 1u);
 }
 
@@ -48,8 +51,6 @@ TEST(Facility, StreamingPreviewUnderTenSeconds) {
   Facility facility;
   ScanOptions options;
   options.streaming = true;
-  options.run_nersc = false;
-  options.run_alcf = false;
   auto fut = facility.process_scan(paper_scan(), options);
   facility.engine().run();
   const auto& report = fut.value().streaming;
@@ -169,7 +170,7 @@ TEST(Facility, BackgroundLoadDelaysNerscNotAlcf) {
         loaded.process_scan(paper_scan("scan-l" + std::to_string(i)),
                             ScanOptions{});
     loaded.engine().run();
-    ASSERT_TRUE(fut.value().nersc.has_value());
+    ASSERT_TRUE(fut.value().recon.completed);
   }
   std::size_t realtime_jobs = 0;
   for (const auto& job : loaded.perlmutter().all_jobs()) {
@@ -205,8 +206,6 @@ TEST(Facility, ConcurrentStreamingScansAllDeliverPreviews) {
   Facility facility;
   ScanOptions options;
   options.streaming = true;
-  options.run_nersc = false;
-  options.run_alcf = false;
   for (int i = 0; i < 8; ++i) {
     auto scan = paper_scan("scan-cc" + std::to_string(i));
     scan.n_angles = 1969 + std::size_t(i) * 37;  // odd remainders vs batch
@@ -245,10 +244,13 @@ TEST(Facility, CfsOutageFailsNerscBranchOnly) {
   auto fut = facility.process_scan(paper_scan("scan-outage"), ScanOptions{});
   facility.engine().run();
   const ScanOutcome& out = fut.value();
-  ASSERT_TRUE(out.nersc && out.alcf);
-  EXPECT_EQ(out.nersc->state, flow::RunState::Failed);
-  EXPECT_EQ(out.nersc->status.error().code, "permission_denied");
-  EXPECT_EQ(out.alcf->state, flow::RunState::Completed);
+  const auto& attempts = out.recon.attempts;
+  ASSERT_EQ(attempts.size(), 2u);
+  EXPECT_EQ(attempts[0].facility, "nersc");
+  EXPECT_EQ(attempts[0].result, "failed:permission_denied");
+  EXPECT_EQ(attempts[1].facility, "alcf");
+  EXPECT_EQ(attempts[1].result, "completed");
+  EXPECT_FALSE(out.recon.completed);  // static_dual needs both sites
   EXPECT_TRUE(facility.beamline_data().exists("/recon/alcf/scan-outage.zarr"));
   EXPECT_FALSE(
       facility.beamline_data().exists("/recon/nersc/scan-outage.zarr"));
@@ -324,8 +326,10 @@ TEST(Campaign, ShortShiftCompletesAndSummarizes) {
   EXPECT_EQ(report.streaming_latency.n, report.scans_started);
   EXPECT_LT(report.streaming_latency.max, 10.0);
   // Flow ordering from Table 2 holds under load.
-  EXPECT_LT(report.new_file.median, report.alcf_recon.median);
-  EXPECT_LT(report.alcf_recon.median, report.nersc_recon.median);
+  const Summary& nersc = report.recon.at("nersc_recon_flow").duration;
+  const Summary& alcf = report.recon.at("alcf_recon_flow").duration;
+  EXPECT_LT(report.new_file.median, alcf.median);
+  EXPECT_LT(alcf.median, nersc.median);
   EXPECT_GT(report.raw_bytes, 100 * GB);
 }
 
@@ -435,7 +439,6 @@ TEST(Facility, TaskIdempotencyKeysAreScanScoped) {
   // colliding with other scans: keys embed flow, task and scan id.
   Facility facility;
   ScanOptions options;
-  options.run_alcf = false;
   options.archive = false;
   auto fut = facility.process_scan(paper_scan("scan-keyed"), options);
   facility.engine().run();

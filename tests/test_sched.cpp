@@ -1,11 +1,13 @@
 // Federated scheduler suite (DESIGN.md §17).
 //
-// Three layers, matching the subsystem's contracts:
+// Four layers, matching the subsystem's contracts:
 //   policy units     — place() is a pure function of (scan, snapshot), so
 //                      each decision rule is pinned against hand-built
-//                      snapshots: rotation, cost-model ordering, blackout
-//                      unreachability, sick-site avoidance, deadline-only
-//                      hedging.
+//                      snapshots: static dual replication, rotation,
+//                      cost-model ordering, blackout unreachability,
+//                      sick-site avoidance, deadline-only hedging.
+//   scheduler units  — a replicated placement records each run's outcome
+//                      and never relaunches, hedges or fails over.
 //   fleet campaigns  — a ≥1000-scan, 8-beamline campaign with dynamic
 //                      placement completes with zero lost scans; a
 //                      mid-campaign facility blackout still loses nothing
@@ -19,6 +21,7 @@
 
 #include <algorithm>
 #include <cstddef>
+#include <memory>
 #include <string>
 #include <utility>
 #include <vector>
@@ -70,6 +73,43 @@ ScanRequest small_request(Seconds deadline = 0.0) {
   r.n = 1024;
   r.deadline = deadline;
   return r;
+}
+
+TEST(StaticDualPolicy, PlacesBothDoeSitesWhateverTheirState) {
+  StaticDualPolicy policy;
+  std::vector<FacilityState> snap = {make_state("nersc", 10, 100, 0, 8),
+                                     make_state("alcf", 10, 100, 0, 6),
+                                     make_state("cloud", 0, 10, 0, 16)};
+  snap[0].available = false;  // dark
+  snap[0].link_bps = 0.0;     // and blacked out
+  snap[1].health = 0.05;      // sick
+  // A deadline scan: hedging policies would buy a backup, this one never.
+  Placement p = policy.place(small_request(3600.0), snap);
+  EXPECT_EQ(p.primary, "nersc");
+  EXPECT_EQ(p.replicas, (std::vector<std::string>{"alcf"}));
+  EXPECT_EQ(p.hedge, "");
+  EXPECT_EQ(p.hedge_delay, 0.0);
+}
+
+TEST(StaticDualPolicy, SkipsASiteMissingFromTheSnapshot) {
+  StaticDualPolicy policy;
+  // Snapshot order does not matter: NERSC is always the primary.
+  Placement both = policy.place(small_request(),
+                                {make_state("alcf", 10, 100, 0, 6),
+                                 make_state("nersc", 10, 100, 0, 8)});
+  EXPECT_EQ(both.primary, "nersc");
+  EXPECT_EQ(both.replicas, (std::vector<std::string>{"alcf"}));
+
+  Placement alcf_only = policy.place(small_request(),
+                                     {make_state("cloud", 10, 100, 0, 16),
+                                      make_state("alcf", 10, 100, 0, 6)});
+  EXPECT_EQ(alcf_only.primary, "alcf");
+  EXPECT_TRUE(alcf_only.replicas.empty());
+
+  EXPECT_EQ(policy.place(small_request(),
+                         {make_state("cloud", 10, 100, 0, 16)})
+                .primary,
+            "");
 }
 
 TEST(RoundRobinPolicy, RotatesOverAvailableSitesOnly) {
@@ -171,7 +211,7 @@ TEST(PolicyFactory, ShippedNamesResolveUnknownIsNull) {
   EXPECT_NE(make_policy("round_robin"), nullptr);
   EXPECT_NE(make_policy("greedy"), nullptr);
   EXPECT_NE(make_policy("hedged"), nullptr);
-  EXPECT_EQ(make_policy("static_dual"), nullptr);  // not a dynamic policy
+  EXPECT_NE(make_policy("static_dual"), nullptr);
   EXPECT_EQ(make_policy("oracle"), nullptr);
 }
 
@@ -215,7 +255,112 @@ TEST(FacilityDirectory, InflightAccountingAndSnapshotOrder) {
 }
 
 // ---------------------------------------------------------------------------
-// Facility integration: Scheduled placement mode
+// Scheduler units: replicated placement
+// ---------------------------------------------------------------------------
+
+// Flow body for scheduler units: finishes `dt` after it starts, failing
+// with `error_code` unless that is null. Pointer and scalar parameters
+// only (astcheck coroutine-ref-param; GCC 12 prvalue arguments).
+sim::Future<Status> finish_after(sim::Engine* eng, Seconds dt,
+                                 const char* error_code) {
+  co_await sim::delay(*eng, dt);
+  if (error_code != nullptr) co_return Error::make(error_code, "test flow");
+  co_return Status::success();
+}
+
+// nersc, alcf and cloud sites whose recon flows end after fixed delays
+// (nullptr error = success). The cloud site is an untried failover
+// target that a replicated placement must never use.
+struct ReplicaRig {
+  struct Site {
+    const char* name;
+    Seconds dt;
+    const char* error;
+  };
+
+  explicit ReplicaRig(std::vector<Site> sites, SchedulerConfig cfg = {})
+      : flows(eng, db) {
+    for (const Site& site : sites) {
+      adapters.push_back(
+          std::make_unique<hpc::CloudBurstAdapter>(eng, hpc::ComputeModel{}));
+      FacilityInfo info;
+      info.name = site.name;
+      info.flow_name = std::string("recon_") + site.name;
+      info.adapter = adapters.back().get();
+      dir.add(info);
+      sim::Engine* e = &eng;
+      flows.register_flow(info.flow_name, [e, site](flow::FlowContext) {
+        return finish_after(e, site.dt, site.error);
+      });
+    }
+    scheduler = std::make_unique<FederatedScheduler>(eng, flows, dir,
+                                                     policy, cfg);
+  }
+
+  ScanResult run_one() {
+    auto fut = scheduler->submit(small_request());
+    eng.run();
+    return fut.value();
+  }
+
+  sim::Engine eng;
+  flow::RunDatabase db;
+  flow::FlowEngine flows;
+  std::vector<std::unique_ptr<hpc::CloudBurstAdapter>> adapters;
+  FacilityDirectory dir;
+  StaticDualPolicy policy;
+  std::unique_ptr<FederatedScheduler> scheduler;
+};
+
+TEST(ReplicatedPlacement, FailedReplicaIsRecordedNotRelaunched) {
+  ReplicaRig rig({{"nersc", 10.0, "permission_denied"},
+                  {"alcf", 50.0, nullptr},
+                  {"cloud", 5.0, nullptr}});
+  const ScanResult res = rig.run_one();
+
+  EXPECT_FALSE(res.completed);  // every replica must complete
+  EXPECT_EQ(res.facility, "");
+  ASSERT_EQ(res.attempts.size(), 2u);
+  EXPECT_EQ(res.attempts[0].facility, "nersc");
+  EXPECT_EQ(res.attempts[0].result, "failed:permission_denied");
+  EXPECT_DOUBLE_EQ(res.attempts[0].finished_at, 10.0);
+  EXPECT_EQ(res.attempts[1].facility, "alcf");
+  EXPECT_EQ(res.attempts[1].result, "completed");
+  EXPECT_DOUBLE_EQ(res.turnaround(), 50.0);
+  // The failure launched nothing: one run per replica, none elsewhere.
+  EXPECT_EQ(rig.db.runs("recon_nersc").size(), 1u);
+  EXPECT_EQ(rig.db.runs("recon_alcf").size(), 1u);
+  EXPECT_TRUE(rig.db.runs("recon_cloud").empty());
+  EXPECT_EQ(rig.scheduler->failovers(), 0u);
+  EXPECT_EQ(rig.scheduler->scans_lost(), 1u);
+}
+
+TEST(ReplicatedPlacement, SlowReplicaLaunchesNoFailover) {
+  SchedulerConfig cfg;
+  cfg.failover_timeout = 100.0;  // nersc outlives it five times over
+  ReplicaRig rig({{"nersc", 500.0, nullptr},
+                  {"alcf", 50.0, nullptr},
+                  {"cloud", 5.0, nullptr}},
+                 cfg);
+  const ScanResult res = rig.run_one();
+
+  EXPECT_TRUE(res.completed);
+  EXPECT_EQ(res.facility, "nersc");  // the primary
+  ASSERT_EQ(res.attempts.size(), 2u);
+  EXPECT_EQ(rig.scheduler->failovers(), 0u);
+  EXPECT_EQ(rig.scheduler->hedges_launched(), 0u);
+  EXPECT_FALSE(res.failed_over);
+  EXPECT_TRUE(rig.db.runs("recon_cloud").empty());
+  // Awaited in launch order, yet each attempt keeps its own finish time.
+  EXPECT_DOUBLE_EQ(res.attempts[0].finished_at, 500.0);
+  EXPECT_DOUBLE_EQ(res.attempts[1].finished_at, 50.0);
+  EXPECT_DOUBLE_EQ(res.turnaround(), 500.0);
+  EXPECT_EQ(rig.dir.inflight("nersc"), 0u);
+  EXPECT_EQ(rig.dir.inflight("alcf"), 0u);
+}
+
+// ---------------------------------------------------------------------------
+// Facility integration: a dynamic FacilityConfig::policy
 // ---------------------------------------------------------------------------
 
 data::ScanMetadata facility_scan(const std::string& id) {
@@ -234,16 +379,16 @@ data::ScanMetadata facility_scan(const std::string& id) {
   return m;
 }
 
-TEST(FacilityScheduled, OneDecisionReplacesTheDualBranches) {
+TEST(FacilityPolicy, GreedyMakesOneDecisionPerScan) {
   pipeline::FacilityConfig cfg;
   cfg.seed = 42;
+  cfg.policy = "greedy";
   pipeline::Facility fac(cfg);
 
   std::vector<sim::Future<pipeline::ScanOutcome>> futs;
   pipeline::ScanOptions options;
   options.streaming = false;
   options.archive = false;
-  options.placement = pipeline::PlacementMode::Scheduled;
   for (int i = 0; i < 3; ++i) {
     fac.engine().schedule_at(double(i) * 180.0, [&fac, &futs, i, options] {
       futs.push_back(fac.process_scan(
@@ -256,16 +401,22 @@ TEST(FacilityScheduled, OneDecisionReplacesTheDualBranches) {
   for (auto& fut : futs) {
     ASSERT_TRUE(fut.done());
     const pipeline::ScanOutcome& out = fut.value();
-    // Scheduled mode routes through the scheduler, not the static branches.
-    EXPECT_FALSE(out.nersc.has_value());
-    EXPECT_FALSE(out.alcf.has_value());
-    ASSERT_TRUE(out.sched.has_value());
-    EXPECT_TRUE(out.sched->completed);
-    EXPECT_TRUE(fac.directory().has(out.sched->facility));
-    EXPECT_GT(out.sched->turnaround(), 0.0);
+    // Greedy places each scan at one site, not at both DOE sites.
+    EXPECT_TRUE(out.recon.completed);
+    ASSERT_EQ(out.recon.attempts.size(), 1u);
+    EXPECT_TRUE(fac.directory().has(out.recon.facility));
+    EXPECT_GT(out.recon.turnaround(), 0.0);
   }
   EXPECT_EQ(fac.scheduler().scans_completed(), 3u);
   EXPECT_EQ(fac.scheduler().scans_lost(), 0u);
+}
+
+TEST(FacilityPolicy, UnknownPolicyNameAbortsInEveryBuild) {
+  testing::FLAGS_gtest_death_test_style = "threadsafe";
+  pipeline::FacilityConfig cfg;
+  cfg.policy = "oracle";
+  EXPECT_DEATH(pipeline::Facility fac(cfg),
+               "unknown placement policy 'oracle'");
 }
 
 // ---------------------------------------------------------------------------

@@ -191,12 +191,14 @@ TEST_F(TelemetryTest, QuantileEmptyHistogramIsZero) {
 TEST_F(TelemetryTest, QuantileSingleBucketInterpolatesLinearly) {
   // All samples land in the first bucket [0, 10]: the estimator
   // interpolates between min(0, observed min) and the bucket's upper
-  // bound, so rank fraction maps linearly onto [0, 10].
+  // bound, so rank fraction maps linearly onto [0, 10] — then clamps to
+  // the observed [2, 8], since no quantile lies past the largest sample.
   Histogram h({10.0});
   for (double v : {2.0, 4.0, 6.0, 8.0}) h.observe(v);
   EXPECT_DOUBLE_EQ(h.quantile(0.25), 2.5);
   EXPECT_DOUBLE_EQ(h.quantile(0.5), 5.0);
-  EXPECT_DOUBLE_EQ(h.quantile(1.0), 10.0);
+  EXPECT_DOUBLE_EQ(h.quantile(1.0), 8.0);
+  EXPECT_DOUBLE_EQ(h.quantile(0.0), 2.0);
 }
 
 TEST_F(TelemetryTest, QuantileOverflowBucketInterpolatesTowardMax) {
