@@ -8,7 +8,6 @@
 #include "common/hot_guard.hpp"
 #include "parallel/scratch.hpp"
 #include "parallel/thread_pool.hpp"
-#include "tomo/fft.hpp"
 
 namespace alsflow::tomo {
 
@@ -81,7 +80,8 @@ ProjectionFilter::ProjectionFilter(FilterKind kind, std::size_t n_det)
     : kind_(kind),
       n_det_(n_det),
       n_pad_(next_pow2(2 * n_det)),
-      response_(filter_response(kind, n_pad_)) {}
+      response_(filter_response(kind, n_pad_)),
+      table_(n_pad_) {}
 
 void ProjectionFilter::apply(std::span<const float> in,
                              std::span<float> out) const {
@@ -107,9 +107,9 @@ ALSFLOW_HOT void ProjectionFilter::apply_span(
   }
   std::fill(scratch.begin(), scratch.end(), std::complex<double>(0.0, 0.0));
   for (std::size_t i = 0; i < n_det_; ++i) scratch[i] = double(in[i]);
-  fft(scratch, false);
+  table_.transform(scratch, false);
   for (std::size_t k = 0; k < n_pad_; ++k) scratch[k] *= response_[k];
-  fft(scratch, true);
+  table_.transform(scratch, true);
   for (std::size_t i = 0; i < n_det_; ++i) out[i] = float(scratch[i].real());
 }
 

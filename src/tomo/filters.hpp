@@ -13,6 +13,7 @@
 #include <string>
 #include <vector>
 
+#include "tomo/fft.hpp"
 #include "tomo/image.hpp"
 
 namespace alsflow::tomo {
@@ -63,6 +64,7 @@ class ProjectionFilter {
   std::size_t n_det_;
   std::size_t n_pad_;
   std::vector<double> response_;
+  FftTable table_;  // for n_pad_, built here so apply_span never allocates
 };
 
 }  // namespace alsflow::tomo

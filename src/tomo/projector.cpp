@@ -1,7 +1,9 @@
 #include "tomo/projector.hpp"
 
 #include <algorithm>
+#include <cassert>
 #include <cmath>
+#include <cstdint>
 #include <vector>
 
 #include "common/hot_guard.hpp"
@@ -22,14 +24,17 @@ struct Trig {
   std::span<double> ct, st;
 };
 
-Trig trig_tables(const Geometry& geo) {
+// The tables hold cos and sin times `scale`: 1 for the projector pair, and
+// n_det / 2 = 1 / det_spacing for FBP, whose detector coordinate is then
+// u * ct + v * st + center with no division.
+Trig trig_tables(const Geometry& geo, double scale) {
   Trig t{parallel::WorkerScratch::double_buffer(
              parallel::WorkerScratch::kTrigCos, geo.n_angles),
          parallel::WorkerScratch::double_buffer(
              parallel::WorkerScratch::kTrigSin, geo.n_angles)};
   for (std::size_t a = 0; a < geo.n_angles; ++a) {
-    t.ct[a] = std::cos(geo.angle(a));
-    t.st[a] = std::sin(geo.angle(a));
+    t.ct[a] = std::cos(geo.angle(a)) * scale;
+    t.st[a] = std::sin(geo.angle(a)) * scale;
   }
   return t;
 }
@@ -49,7 +54,7 @@ void forward_project_into(const Image& img, const Geometry& geo, Image& sino) {
   const std::size_t n = img.nx();
   auto out = sino.span();
   std::fill(out.begin(), out.end(), 0.0f);
-  const Trig trig = trig_tables(geo);
+  const Trig trig = trig_tables(geo, 1.0);
   const double center = geo.center_or_default();
   const double det_spacing = 2.0 / double(geo.n_det);
   const double h = 2.0 / double(n);
@@ -92,7 +97,7 @@ Image forward_project(const Image& img, const Geometry& geo) {
 void back_project_adjoint_into(const Image& sino, const Geometry& geo,
                                std::size_t n, Image& img) {
   assert(img.ny() == n && img.nx() == n);
-  const Trig trig = trig_tables(geo);
+  const Trig trig = trig_tables(geo, 1.0);
   const double center = geo.center_or_default();
   const double det_spacing = 2.0 / double(geo.n_det);
   const double h = 2.0 / double(n);
@@ -131,23 +136,69 @@ Image back_project_adjoint(const Image& sino, const Geometry& geo,
 
 namespace {
 
-// Shared inner loop of the FBP gather for one pixel row and one angle.
-ALSFLOW_HOT inline void gather_row(
-    const Image& sino, std::size_t a, double ct, double st, double v,
-    std::size_t n, double center, double det_spacing,
-    std::span<float> out_row) {
-  const std::size_t n_det = sino.nx();
-  const double v_term = v * st;
-  for (std::size_t x = 0; x < n; ++x) {
-    const double s = u_of(x, n) * ct + v_term;
-    const double t = s / det_spacing + center;
-    const auto t0 = std::floor(t);
-    const auto i0 = std::ptrdiff_t(t0);
-    if (i0 < 0 || std::size_t(i0) + 1 >= n_det) continue;
-    const double frac = t - t0;
-    const double q = sino.at(a, std::size_t(i0)) * (1.0 - frac) +
-                     sino.at(a, std::size_t(i0) + 1) * frac;
-    out_row[x] += float(q);
+// 1 / det_spacing: FBP's trig tables are scaled by it.
+double inv_det_spacing(const Geometry& geo) { return 0.5 * double(geo.n_det); }
+
+// pi / n_angles from the angular integral; 1 / det_spacing from the
+// frequency-domain filter discretization (see filters.hpp).
+double fbp_scale(const Geometry& geo) {
+  return M_PI / double(geo.n_angles) * inv_det_spacing(geo);
+}
+
+// Pixel-centre u coordinates of an n-wide row, computed exactly as callers
+// of fbp_backproject_points compute theirs, so a plane pixel and the same
+// point sampled alone see bit-identical detector coordinates.
+std::vector<double> pixel_us(std::size_t n) {
+  std::vector<double> us(n);
+  for (std::size_t x = 0; x < n; ++x) us[x] = u_of(x, n);
+  return us;
+}
+
+// Linear interpolation of a detector row at coordinate t, 0 <= t < size-1.
+inline double tap(std::span<const float> det, double t) {
+  const std::int64_t i = std::int64_t(t);  // t >= 0: truncation floors
+  const double frac = t - double(i);
+  return det[std::size_t(i)] * (1.0 - frac) + det[std::size_t(i) + 1] * frac;
+}
+
+// The FBP gather every plane back-projector shares, for one pixel row and
+// one angle: out[x] += weight * tap(det, t(x)) with the detector coordinate
+// t(x) = us[x] * ct + base (ct scaled by 1 / det_spacing; base = v * st +
+// center), over the x where both taps exist. t is affine in x, so the range
+// comes from its closed form, clamped in double before the integer
+// conversion, then settled against the exact predicate the loop relies on
+// (t is monotone in x, so the valid x are one run). The loop itself has
+// neither a division nor a bounds branch.
+ALSFLOW_HOT void gather_row(std::span<const float> det,
+                            std::span<const double> us, double ct, double base,
+                            double weight, std::span<float> out) {
+  const std::size_t n = us.size();
+  if (n == 0) return;
+  const double t_max = double(det.size()) - 1.0;
+  const auto t_of = [&](std::size_t x) { return us[x] * ct + base; };
+  const auto inside = [&](std::size_t x) {
+    const double t = t_of(x);
+    return t >= 0.0 && t < t_max;
+  };
+  const double t0 = t_of(0), t_last = t_of(n - 1);
+  double lo = 0.0, hi = double(n);
+  if (t_last != t0) {
+    const double x_per_t = double(n - 1) / (t_last - t0);
+    const double r0 = -t0 * x_per_t, r1 = (t_max - t0) * x_per_t;
+    lo = std::ceil(std::min(r0, r1));
+    hi = std::ceil(std::max(r0, r1));
+  } else if (!inside(0)) {
+    hi = 0.0;
+  }
+  lo = lo > 0.0 ? std::min(lo, double(n)) : 0.0;  // NaN clamps to 0 too
+  hi = hi > lo ? std::min(hi, double(n)) : lo;
+  std::size_t x0 = std::size_t(lo), x1 = std::size_t(hi);
+  while (x0 > 0 && inside(x0 - 1)) --x0;
+  while (x0 < x1 && !inside(x0)) ++x0;
+  while (x1 < n && inside(x1)) ++x1;
+  while (x1 > x0 && !inside(x1 - 1)) --x1;
+  for (std::size_t x = x0; x < x1; ++x) {
+    out[x] += float(tap(det, t_of(x)) * weight);
   }
 }
 
@@ -156,20 +207,18 @@ ALSFLOW_HOT inline void gather_row(
 Image fbp_backproject(const Image& filtered_sino, const Geometry& geo,
                       std::size_t n) {
   Image img(n, n);
-  const Trig trig = trig_tables(geo);
+  const Trig trig = trig_tables(geo, inv_det_spacing(geo));
+  const std::vector<double> us = pixel_us(n);
   const double center = geo.center_or_default();
-  const double det_spacing = 2.0 / double(geo.n_det);
-  // pi / n_angles from the angular integral; 1 / det_spacing from the
-  // frequency-domain filter discretization (see filters.hpp).
-  const double scale = M_PI / double(geo.n_angles) / det_spacing;
+  const double scale = fbp_scale(geo);
 
   parallel::parallel_for(0, n, [&](std::size_t y) {
     hotguard::HotRegion region("projector.fbp");
     const double v = v_of(y, n);
     auto out_row = img.row(y);
     for (std::size_t a = 0; a < geo.n_angles; ++a) {
-      gather_row(filtered_sino, a, trig.ct[a], trig.st[a], v, n, center,
-                 det_spacing, out_row);
+      gather_row(filtered_sino.row(a), us, trig.ct[a],
+                 v * trig.st[a] + center, 1.0, out_row);
     }
     for (auto& p : out_row) p = float(p * scale);
   });
@@ -179,29 +228,16 @@ Image fbp_backproject(const Image& filtered_sino, const Geometry& geo,
 void fbp_accumulate_row(Image& accum, std::span<const float> filtered_row,
                         const Geometry& geo, std::size_t angle_index) {
   const std::size_t n = accum.nx();
-  const double theta = geo.angle(angle_index);
-  const double ct = std::cos(theta), st = std::sin(theta);
+  const double ct = std::cos(geo.angle(angle_index)) * inv_det_spacing(geo);
+  const double st = std::sin(geo.angle(angle_index)) * inv_det_spacing(geo);
+  const std::vector<double> us = pixel_us(n);
   const double center = geo.center_or_default();
-  const double det_spacing = 2.0 / double(geo.n_det);
-  const double scale = M_PI / double(geo.n_angles) / det_spacing;
-  const std::size_t n_det = geo.n_det;
+  const double scale = fbp_scale(geo);
 
   parallel::parallel_for(0, accum.ny(), [&](std::size_t y) {
     hotguard::HotRegion region("projector.fbp_row");
-    const double v = v_of(y, n);
-    const double v_term = v * st;
-    auto out_row = accum.row(y);
-    for (std::size_t x = 0; x < n; ++x) {
-      const double s = u_of(x, n) * ct + v_term;
-      const double t = s / det_spacing + center;
-      const auto t0 = std::floor(t);
-      const auto i0 = std::ptrdiff_t(t0);
-      if (i0 < 0 || std::size_t(i0) + 1 >= n_det) continue;
-      const double frac = t - t0;
-      const double q = filtered_row[std::size_t(i0)] * (1.0 - frac) +
-                       filtered_row[std::size_t(i0) + 1] * frac;
-      out_row[x] += float(q * scale);
-    }
+    gather_row(filtered_row, us, ct, v_of(y, n) * st + center, scale,
+               accum.row(y));
   });
 }
 
@@ -211,23 +247,19 @@ ALSFLOW_HOT void fbp_backproject_points(const Image& filtered_sino,
                                         std::span<const double> vs,
                                         std::span<float> out) {
   assert(us.size() == vs.size() && us.size() == out.size());
-  const Trig trig = trig_tables(geo);
+  const Trig trig = trig_tables(geo, inv_det_spacing(geo));
   const double center = geo.center_or_default();
-  const double det_spacing = 2.0 / double(geo.n_det);
-  const double scale = M_PI / double(geo.n_angles) / det_spacing;
-  const std::size_t n_det = geo.n_det;
+  const double scale = fbp_scale(geo);
+  const double t_max = double(geo.n_det) - 1.0;
 
   for (std::size_t i = 0; i < us.size(); ++i) {
     double acc = 0.0;
     for (std::size_t a = 0; a < geo.n_angles; ++a) {
-      const double s = us[i] * trig.ct[a] + vs[i] * trig.st[a];
-      const double t = s / det_spacing + center;
-      const auto t0 = std::floor(t);
-      const auto i0 = std::ptrdiff_t(t0);
-      if (i0 < 0 || std::size_t(i0) + 1 >= n_det) continue;
-      const double frac = t - t0;
-      acc += filtered_sino.at(a, std::size_t(i0)) * (1.0 - frac) +
-             filtered_sino.at(a, std::size_t(i0) + 1) * frac;
+      // Same expression as gather_row's t(x), so a point on a plane pixel
+      // centre reproduces that pixel's taps exactly.
+      const double t = us[i] * trig.ct[a] + (vs[i] * trig.st[a] + center);
+      if (!(t >= 0.0 && t < t_max)) continue;
+      acc += tap(filtered_sino.row(a), t);
     }
     out[i] = float(acc * scale);
   }

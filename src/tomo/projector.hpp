@@ -39,7 +39,8 @@ Image fbp_backproject(const Image& filtered_sino, const Geometry& geo,
                       std::size_t n);
 
 // Accumulate the FBP contribution of a single filtered projection row into
-// `accum` (used by the streaming reconstructor; scale applied per call).
+// `accum`, scale applied per call: summed over every angle it matches
+// fbp_backproject, whose gather it shares.
 void fbp_accumulate_row(Image& accum, std::span<const float> filtered_row,
                         const Geometry& geo, std::size_t angle_index);
 

@@ -1,9 +1,10 @@
 #include "tomo/recon.hpp"
 
 #include <algorithm>
-#include <cassert>
 #include <cmath>
 #include <complex>
+#include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "common/hot_guard.hpp"
@@ -34,78 +35,110 @@ Image reconstruct_fbp(const Image& sinogram, const Geometry& geo,
 
 Image reconstruct_gridrec(const Image& sinogram, const Geometry& geo,
                           std::size_t n, FilterKind filter) {
+  using cplx = std::complex<double>;
   const std::size_t n_det = geo.n_det;
   const std::size_t n_pad = next_pow2(2 * n_det);
+  const std::size_t mask = n_pad - 1;  // n_pad is a power of two
   const double center = geo.center_or_default();
+  const FftTable table(n_pad);
+  const auto signed_freq = [n_pad](std::size_t k) {
+    return k <= n_pad / 2 ? double(k) : double(k) - double(n_pad);
+  };
+
+  // Per-frequency factor, the same for every angle: the ramp (density
+  // compensation) and any apodizing window, times the linear phase that
+  // shifts the rotation axis to the origin.
   const auto response = filter_response(filter, n_pad);
+  std::vector<cplx> weight(n_pad);
+  for (std::size_t k = 0; k < n_pad; ++k) {
+    weight[k] = std::polar(response[k],
+                           2.0 * M_PI * signed_freq(k) * center / double(n_pad));
+  }
 
   // 2-D Fourier grid, filled by splatting ramp-weighted projection spectra
   // along their central slices (projection-slice theorem).
-  std::vector<std::complex<double>> grid(n_pad * n_pad, {0.0, 0.0});
+  std::vector<cplx> grid(n_pad * n_pad, {0.0, 0.0});
 
-  // Splat one angle's spectrum into `out` (any accumulation grid). `row`
-  // is caller-provided n_pad scratch (overwritten), so the hot stripe
-  // bodies can pass worker-arena spans instead of allocating.
-  const auto splat_angle = [&](std::size_t a,
-                               std::span<std::complex<double>> row,
-                               std::vector<std::complex<double>>& out) {
-    const double theta = geo.angle(a);
-    const double ct = std::cos(theta), st = std::sin(theta);
-    std::fill(row.begin(), row.end(), std::complex<double>(0.0, 0.0));
-    for (std::size_t t = 0; t < n_det; ++t) row[t] = double(sinogram.at(a, t));
-    fft(row, false);
-    for (std::size_t k = 0; k < n_pad; ++k) {
-      const double kf =
-          k <= n_pad / 2 ? double(k) : double(k) - double(n_pad);
-      // Shift the rotation axis to the origin (linear phase), then apply
-      // the ramp (density compensation) and any apodizing window.
-      const double phase = 2.0 * M_PI * kf * center / double(n_pad);
-      const std::complex<double> sample =
-          row[k] * std::polar(response[k], phase);
-      if (sample == std::complex<double>(0.0, 0.0)) continue;
-      // Polar position of this frequency sample on the Cartesian grid.
-      const double gx = kf * ct;
-      const double gy = kf * st;
-      const double fx = std::floor(gx), fy = std::floor(gy);
-      const double wx = gx - fx, wy = gy - fy;
-      const auto idx = [n_pad](double f) {
-        auto i = std::ptrdiff_t(f);
-        i %= std::ptrdiff_t(n_pad);
-        if (i < 0) i += std::ptrdiff_t(n_pad);
-        return std::size_t(i);
-      };
-      const std::size_t x0 = idx(fx), x1 = idx(fx + 1.0);
-      const std::size_t y0 = idx(fy), y1 = idx(fy + 1.0);
-      out[y0 * n_pad + x0] += sample * ((1.0 - wx) * (1.0 - wy));
-      out[y0 * n_pad + x1] += sample * (wx * (1.0 - wy));
-      out[y1 * n_pad + x0] += sample * ((1.0 - wx) * wy);
-      out[y1 * n_pad + x1] += sample * (wx * wy);
+  // Splat one weighted frequency sample at grid position (gx, gy) into
+  // `out` (any accumulation grid), bilinearly.
+  const auto splat = [&](std::vector<cplx>& out, double gx, double gy,
+                         cplx sample) {
+    if (sample == cplx(0.0, 0.0)) return;
+    const double fx = std::floor(gx), fy = std::floor(gy);
+    const double wx = gx - fx, wy = gy - fy;
+    const std::size_t x0 = std::size_t(std::ptrdiff_t(fx)) & mask;
+    const std::size_t x1 = (x0 + 1) & mask;
+    const std::size_t y0 = std::size_t(std::ptrdiff_t(fy)) & mask;
+    const std::size_t y1 = (y0 + 1) & mask;
+    out[y0 * n_pad + x0] += sample * ((1.0 - wx) * (1.0 - wy));
+    out[y0 * n_pad + x1] += sample * (wx * (1.0 - wy));
+    out[y1 * n_pad + x0] += sample * ((1.0 - wx) * wy);
+    out[y1 * n_pad + x1] += sample * (wx * wy);
+  };
+
+  // Splat angles [a0, a1) two at a time. Rows a and a+1 go through one
+  // complex FFT, z = p_a + i p_{a+1}; both rows are real, so Hermitian
+  // symmetry splits Z into P_a[k] = (Z[k] + conj(Z[-k])) / 2 and
+  // P_{a+1}[k] = (Z[k] - conj(Z[-k])) / 2i. An unpaired last angle rides
+  // with a zero row. The two samples of frequency k land a few cells apart
+  // (one angular step), so splatting them together reuses the grid lines
+  // the first one pulled into cache. `row` is caller-provided n_pad scratch
+  // (overwritten), so the hot stripe bodies can pass worker-arena spans.
+  const auto splat_range = [&](std::size_t a0, std::size_t a1,
+                               std::span<cplx> row, std::vector<cplx>& out) {
+    for (std::size_t a = a0; a < a1; a += 2) {
+      const bool paired = a + 1 < a1;
+      const auto p = sinogram.row(a);
+      if (paired) {
+        const auto q = sinogram.row(a + 1);
+        for (std::size_t t = 0; t < n_det; ++t) row[t] = {p[t], q[t]};
+      } else {
+        for (std::size_t t = 0; t < n_det; ++t) row[t] = {p[t], 0.0};
+      }
+      std::fill(row.begin() + std::ptrdiff_t(n_det), row.end(), cplx(0.0, 0.0));
+      table.transform(row, false);
+      const double ca = std::cos(geo.angle(a)), sa = std::sin(geo.angle(a));
+      const double cb = std::cos(geo.angle(a + 1));
+      const double sb = std::sin(geo.angle(a + 1));
+      for (std::size_t k = 0; k < n_pad; ++k) {
+        // Polar position of frequency k on the Cartesian grid.
+        const double kf = signed_freq(k);
+        const cplx z = row[k], zc = std::conj(row[(n_pad - k) & mask]);
+        splat(out, kf * ca, kf * sa, 0.5 * (z + zc) * weight[k]);
+        if (paired) {
+          const cplx d = z - zc;
+          splat(out, kf * cb, kf * sb,
+                cplx(0.5 * d.imag(), -0.5 * d.real()) * weight[k]);
+        }
+      }
     }
   };
 
   // Angles scatter across the whole grid, so stripe them over the pool
-  // with one scratch grid per stripe (merged below) instead of sharing
-  // the accumulation target. Stripe 0 accumulates straight into `grid`.
-  const std::size_t n_stripes =
-      std::min(parallel::ThreadPool::global().size(), geo.n_angles);
-  if (n_stripes <= 1) {
-    std::vector<std::complex<double>> row(n_pad);
-    for (std::size_t a = 0; a < geo.n_angles; ++a) splat_angle(a, row, grid);
+  // with one scratch grid per stripe (merged below in a fixed order)
+  // instead of sharing the accumulation target. Stripe 0 accumulates
+  // straight into `grid`. Stripes hold whole pairs, so a pair never
+  // straddles two stripes.
+  const std::size_t n_pairs = (geo.n_angles + 1) / 2;
+  const std::size_t want =
+      std::min(parallel::ThreadPool::global().size(), n_pairs);
+  if (want <= 1) {
+    auto row = parallel::WorkerScratch::complex_buffer(
+        parallel::WorkerScratch::kGridrecRow, n_pad);
+    splat_range(0, geo.n_angles, row, grid);
   } else {
+    const std::size_t stride = 2 * ((n_pairs + want - 1) / want);
+    const std::size_t n_stripes = (geo.n_angles + stride - 1) / stride;
     // Per-stripe accumulation grids, sized (value-initialized to zero)
     // before the fan-out so the stripe bodies never touch the allocator.
-    std::vector<std::vector<std::complex<double>>> partial(n_stripes - 1);
+    std::vector<std::vector<cplx>> partial(n_stripes - 1);
     for (auto& p : partial) p.resize(n_pad * n_pad);
-    const std::size_t stride = (geo.n_angles + n_stripes - 1) / n_stripes;
     parallel::parallel_for(0, n_stripes, [&](std::size_t s) {
       auto row = parallel::WorkerScratch::complex_buffer(
           parallel::WorkerScratch::kGridrecRow, n_pad);
       hotguard::HotRegion region("gridrec.splat");
-      auto& target = s == 0 ? grid : partial[s - 1];
-      const std::size_t a_end = std::min(geo.n_angles, (s + 1) * stride);
-      for (std::size_t a = s * stride; a < a_end; ++a) {
-        splat_angle(a, row, target);
-      }
+      splat_range(s * stride, std::min(geo.n_angles, (s + 1) * stride), row,
+                  s == 0 ? grid : partial[s - 1]);
     });
     parallel::parallel_for_chunks(
         0, n_pad * n_pad, [&](std::size_t b, std::size_t e) {
@@ -154,6 +187,22 @@ Image reconstruct_gridrec(const Image& sinogram, const Geometry& geo,
 namespace {
 
 constexpr float kEps = 1e-6f;
+
+[[noreturn]] void throw_bad_shape(const Image& sinogram, const Geometry& geo) {
+  throw std::invalid_argument(
+      "sinogram " + std::to_string(sinogram.ny()) + " x " +
+      std::to_string(sinogram.nx()) + " does not match geometry n_angles x "
+      "n_det = " + std::to_string(geo.n_angles) + " x " +
+      std::to_string(geo.n_det));
+}
+
+// Sinograms come from deserialized files: check them in every build type.
+void check_shape(const Image& sinogram, const Geometry& geo) {
+  if (geo.n_angles == 0 || geo.n_det == 0 || sinogram.ny() != geo.n_angles ||
+      sinogram.nx() != geo.n_det) {
+    throw_bad_shape(sinogram, geo);
+  }
+}
 
 void clamp_non_negative(Image& img) {
   auto data = img.span();
@@ -244,6 +293,7 @@ Image reconstruct_mlem(const Image& sinogram, const Geometry& geo,
 
 Image reconstruct_slice(const Image& sinogram, const Geometry& geo,
                         std::size_t n, const ReconOptions& opts) {
+  check_shape(sinogram, geo);
   Image out;
   switch (opts.algorithm) {
     case Algorithm::FBP:
@@ -270,10 +320,7 @@ Volume reconstruct_volume(const std::vector<Image>& sinograms,
                           const Geometry& geo, std::size_t n,
                           const ReconOptions& opts) {
   if (sinograms.empty()) return Volume();
-  for (const Image& sino : sinograms) {
-    assert(sino.ny() == geo.n_angles && sino.nx() == geo.n_det);
-    (void)sino;
-  }
+  for (const Image& sino : sinograms) check_shape(sino, geo);
   Volume vol(sinograms.size(), n, n);
   // Slice-level decomposition — the per-node layout the paper's file-based
   // TomoPy runs use on the 128-core nodes. The per-slice kernels nest

@@ -1,7 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <complex>
+#include <numbers>
 #include <vector>
 
 #include "common/rng.hpp"
@@ -134,6 +136,104 @@ TEST(Fft2, RoundTrip2D) {
   fft2(a, ny, nx, true);
   for (std::size_t i = 0; i < a.size(); ++i) {
     EXPECT_NEAR(std::abs(a[i] - orig[i]), 0.0, 1e-10);
+  }
+}
+
+// O(n^2) DFT in long double, the reference for the tests below: a
+// consistently wrong twiddle table or a transposed fft2 would still pass
+// round-trip, Parseval and linearity, but not this. The inverse scales by
+// 1/n, like fft().
+std::vector<cplx> reference_dft(const std::vector<cplx>& x, bool inverse) {
+  const std::size_t n = x.size();
+  const long double sign = inverse ? 1.0L : -1.0L;
+  std::vector<long double> c(n), s(n);
+  for (std::size_t m = 0; m < n; ++m) {
+    const long double ang =
+        sign * 2.0L * std::numbers::pi_v<long double> * (long double)m /
+        (long double)n;
+    c[m] = std::cos(ang);
+    s[m] = std::sin(ang);
+  }
+  std::vector<cplx> out(n);
+  for (std::size_t k = 0; k < n; ++k) {
+    long double re = 0.0L, im = 0.0L;
+    for (std::size_t j = 0; j < n; ++j) {
+      const std::size_t m = (j * k) % n;
+      re += x[j].real() * c[m] - x[j].imag() * s[m];
+      im += x[j].real() * s[m] + x[j].imag() * c[m];
+    }
+    if (inverse) {
+      re /= (long double)n;
+      im /= (long double)n;
+    }
+    out[k] = {double(re), double(im)};
+  }
+  return out;
+}
+
+// Separable 2-D reference: the 1-D DFT down every row, then every column.
+std::vector<cplx> reference_dft2(std::vector<cplx> a, std::size_t ny,
+                                 std::size_t nx, bool inverse) {
+  for (std::size_t y = 0; y < ny; ++y) {
+    std::vector<cplx> row(a.begin() + std::ptrdiff_t(y * nx),
+                          a.begin() + std::ptrdiff_t((y + 1) * nx));
+    row = reference_dft(row, inverse);
+    std::copy(row.begin(), row.end(), a.begin() + std::ptrdiff_t(y * nx));
+  }
+  std::vector<cplx> col(ny);
+  for (std::size_t x = 0; x < nx; ++x) {
+    for (std::size_t y = 0; y < ny; ++y) col[y] = a[y * nx + x];
+    col = reference_dft(col, inverse);
+    for (std::size_t y = 0; y < ny; ++y) a[y * nx + x] = col[y];
+  }
+  return a;
+}
+
+std::vector<cplx> random_signal(Rng& rng, std::size_t n) {
+  std::vector<cplx> a(n);
+  for (auto& x : a) x = {rng.uniform(-1, 1), rng.uniform(-1, 1)};
+  return a;
+}
+
+// Largest deviation from the reference, relative to the reference's RMS
+// magnitude (so one bound serves every size and both directions).
+double relative_error(const std::vector<cplx>& got,
+                      const std::vector<cplx>& want) {
+  double err = 0.0, energy = 0.0;
+  for (std::size_t i = 0; i < want.size(); ++i) {
+    err = std::max(err, std::abs(got[i] - want[i]));
+    energy += std::norm(want[i]);
+  }
+  return err / std::sqrt(energy / double(want.size()));
+}
+
+TEST(Fft, MatchesDirectDftForwardAndInverse) {
+  Rng rng(6);
+  for (std::size_t n = 2; n <= 1024; n *= 2) {
+    for (bool inverse : {false, true}) {
+      const std::vector<cplx> x = random_signal(rng, n);
+      std::vector<cplx> got = x;
+      fft(got, inverse);
+      EXPECT_LT(relative_error(got, reference_dft(x, inverse)), 1e-14)
+          << "n=" << n << " inverse=" << inverse;
+    }
+  }
+}
+
+TEST(Fft2, MatchesSeparableDirectDft) {
+  // Non-square shapes, including dimensions below the column block
+  // (FftTable::kColumnBlock) and one shape above the parallel threshold.
+  Rng rng(7);
+  const std::size_t shapes[][2] = {{2, 64}, {64, 2}, {8, 32}, {128, 64}};
+  for (const auto& shape : shapes) {
+    const std::size_t ny = shape[0], nx = shape[1];
+    for (bool inverse : {false, true}) {
+      const std::vector<cplx> x = random_signal(rng, ny * nx);
+      std::vector<cplx> got = x;
+      fft2(got, ny, nx, inverse);
+      EXPECT_LT(relative_error(got, reference_dft2(x, ny, nx, inverse)), 1e-14)
+          << ny << "x" << nx << " inverse=" << inverse;
+    }
   }
 }
 

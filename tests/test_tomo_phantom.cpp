@@ -169,7 +169,8 @@ TEST(ProppantPhantom, TimeEvolutionClosesFracture) {
 
   // Proppant survives creep (it props): spheres still present at t=1.
   bool has_proppant = false;
-  for (float p : proppant_phantom_at(48, 17, 1.0).span()) {
+  const Volume late = proppant_phantom_at(48, 17, 1.0);
+  for (float p : late.span()) {
     if (p == 1.0f) has_proppant = true;
   }
   EXPECT_TRUE(has_proppant);

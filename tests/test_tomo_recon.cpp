@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <stdexcept>
+#include <vector>
 
 #include "tomo/metrics.hpp"
 #include "tomo/phantom.hpp"
@@ -146,26 +148,56 @@ TEST(ReconstructSlice, NonNegativeOptionClamps) {
 TEST(ReconstructVolume, SlicesMatchSliceReconstruction) {
   // Multi-slice entry point: each slice of the volume must equal the
   // single-slice reconstruction of its sinogram, despite slice-level and
-  // nested kernel-level parallelism sharing the pool.
-  ReconCase c(64, 90);
-  std::vector<Image> sinos;
-  for (int z = 0; z < 6; ++z) sinos.push_back(c.sino);
-  for (Algorithm algo : {Algorithm::FBP, Algorithm::Gridrec}) {
-    ReconOptions opts;
-    opts.algorithm = algo;
-    Volume vol = reconstruct_volume(sinos, c.geo, c.n, opts);
-    ASSERT_EQ(vol.nz(), sinos.size()) << algorithm_name(algo);
-    ASSERT_EQ(vol.ny(), c.n);
-    ASSERT_EQ(vol.nx(), c.n);
-    Image ref = reconstruct_slice(c.sino, c.geo, c.n, opts);
-    for (std::size_t z = 0; z < vol.nz(); ++z) {
-      Image slice = vol.slice_image(z);
-      for (std::size_t i = 0; i < ref.size(); ++i) {
-        ASSERT_EQ(slice.data()[i], ref.data()[i])
-            << algorithm_name(algo) << " slice " << z << " px " << i;
+  // nested kernel-level parallelism sharing the pool. Odd angle counts
+  // leave gridrec's last angle unpaired; 3 angles give fewer than two
+  // angles per stripe.
+  for (std::size_t n_angles : {90u, 91u, 3u}) {
+    ReconCase c(64, n_angles);
+    std::vector<Image> sinos;
+    for (int z = 0; z < 6; ++z) sinos.push_back(c.sino);
+    for (Algorithm algo : {Algorithm::FBP, Algorithm::Gridrec}) {
+      ReconOptions opts;
+      opts.algorithm = algo;
+      Volume vol = reconstruct_volume(sinos, c.geo, c.n, opts);
+      ASSERT_EQ(vol.nz(), sinos.size()) << algorithm_name(algo);
+      ASSERT_EQ(vol.ny(), c.n);
+      ASSERT_EQ(vol.nx(), c.n);
+      Image ref = reconstruct_slice(c.sino, c.geo, c.n, opts);
+      for (std::size_t z = 0; z < vol.nz(); ++z) {
+        Image slice = vol.slice_image(z);
+        for (std::size_t i = 0; i < ref.size(); ++i) {
+          ASSERT_EQ(slice.data()[i], ref.data()[i])
+              << algorithm_name(algo) << " " << n_angles << " angles slice "
+              << z << " px " << i;
+        }
       }
     }
   }
+}
+
+TEST(ReconstructSlice, RejectsSinogramsThatDoNotMatchTheGeometry) {
+  // Hard check in every build type: sinograms come from deserialized
+  // files, and a short one would be read past its end.
+  ReconCase c(32, 32);
+  const Image too_few_angles(c.geo.n_angles - 1, c.geo.n_det);
+  const Image wrong_n_det(c.geo.n_angles, c.geo.n_det + 1);
+  for (Algorithm algo : {Algorithm::FBP, Algorithm::Gridrec, Algorithm::SIRT,
+                         Algorithm::MLEM}) {
+    ReconOptions opts;
+    opts.algorithm = algo;
+    EXPECT_THROW(reconstruct_slice(too_few_angles, c.geo, c.n, opts),
+                 std::invalid_argument)
+        << algorithm_name(algo);
+    EXPECT_THROW(reconstruct_slice(wrong_n_det, c.geo, c.n, opts),
+                 std::invalid_argument)
+        << algorithm_name(algo);
+  }
+  ReconOptions opts;
+  opts.algorithm = Algorithm::Gridrec;
+  EXPECT_THROW(reconstruct_volume({c.sino, too_few_angles}, c.geo, c.n, opts),
+               std::invalid_argument);
+  EXPECT_THROW(reconstruct_volume({wrong_n_det, c.sino}, c.geo, c.n, opts),
+               std::invalid_argument);
 }
 
 TEST(ReconstructVolume, EmptyInputGivesEmptyVolume) {
@@ -191,12 +223,15 @@ TEST(ReconstructVolume, IterativeAlgorithmsSupported) {
 TEST(Gridrec, DeterministicAcrossRuns) {
   // The striped splat + merge must not depend on thread scheduling:
   // per-stripe grids are merged in a fixed order.
-  ReconCase c(64, 90);
-  Image first = reconstruct_gridrec(c.sino, c.geo, c.n, FilterKind::Hann);
-  for (int r = 0; r < 3; ++r) {
-    Image again = reconstruct_gridrec(c.sino, c.geo, c.n, FilterKind::Hann);
-    for (std::size_t i = 0; i < first.size(); ++i) {
-      ASSERT_EQ(first.data()[i], again.data()[i]) << "run " << r;
+  for (std::size_t n_angles : {90u, 91u, 3u}) {
+    ReconCase c(64, n_angles);
+    Image first = reconstruct_gridrec(c.sino, c.geo, c.n, FilterKind::Hann);
+    for (int r = 0; r < 3; ++r) {
+      Image again = reconstruct_gridrec(c.sino, c.geo, c.n, FilterKind::Hann);
+      for (std::size_t i = 0; i < first.size(); ++i) {
+        ASSERT_EQ(first.data()[i], again.data()[i])
+            << n_angles << " angles run " << r;
+      }
     }
   }
 }

@@ -74,10 +74,11 @@ GROWTH_METHODS = {"resize", "reserve", "push_back", "emplace_back",
 
 # Value declarations (or temporaries) of these types own heap storage once
 # they have contents. A default-constructed vector/string does not allocate,
-# so bare `std::vector<T> v;` is not flagged.
+# so bare `std::vector<T> v;` is not flagged. An FftTable builds its
+# twiddles on construction, so hot code must take one prebuilt.
 ALLOC_TYPES = {"vector", "string", "deque", "list", "map", "set",
                "unordered_map", "unordered_set", "function",
-               "ostringstream", "stringstream", "Image", "Volume"}
+               "ostringstream", "stringstream", "Image", "Volume", "FftTable"}
 
 LOCK_GUARD_TYPES = {"LockGuard", "UniqueLock", "lock_guard", "unique_lock",
                     "scoped_lock", "shared_lock"}

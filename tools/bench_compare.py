@@ -23,7 +23,10 @@ ratios like makespan_inflation) is informational only and never fails the
 run. Metrics present on one side only are reported as added/removed but do
 not fail the comparison.
 
-Exit status: 0 within threshold, 1 regression(s), 2 usage / parse error.
+Exit status: 0 within threshold, 1 regression(s), 2 usage / parse error
+or two google-benchmark files whose context records different
+`pool_threads` (wall-clock kernel times are only comparable at one pool
+size).
 --report-only always exits 0 (for benches too noisy to gate hard).
 --selftest checks the comparator against embedded fixtures of both
 formats. --format selects text (default), json, or github (::error
@@ -95,6 +98,24 @@ def extract_metrics(doc, metric):
     out = {}
     flatten_generic(doc, "", out)
     return out
+
+
+def pool_threads_mismatch(base_doc, fresh_doc):
+    """Message when both google-benchmark files record different pool sizes.
+
+    Wall-clock kernel times scale with the thread count, so a baseline is
+    only comparable with a run at its own `pool_threads` (a context field
+    bench_recon_kernels records); None when comparable or not recorded.
+    """
+    def pool(doc):
+        if isinstance(doc, dict) and isinstance(doc.get("context"), dict):
+            return doc["context"].get("pool_threads")
+        return None
+    base, fresh = pool(base_doc), pool(fresh_doc)
+    if base is None or fresh is None or str(base) == str(fresh):
+        return None
+    return (f"baseline ran with pool_threads={base}, fresh run with "
+            f"pool_threads={fresh}; rerun with ALSFLOW_NUM_THREADS={base}")
 
 
 def compare(base, fresh, threshold):
@@ -179,6 +200,10 @@ def run_compare(args):
         fresh_doc = json.loads(Path(args.fresh).read_text())
     except (OSError, json.JSONDecodeError) as exc:
         print(f"bench_compare: {exc}", file=sys.stderr)
+        return 2
+    mismatch = pool_threads_mismatch(base_doc, fresh_doc)
+    if mismatch:
+        print(f"bench_compare: {mismatch}", file=sys.stderr)
         return 2
     base = extract_metrics(base_doc, args.metric)
     fresh = extract_metrics(fresh_doc, args.metric)
@@ -313,6 +338,19 @@ def selftest():
     check("zero baseline regression", len(reg) == 1)
     _, reg = compare({"x.makespan_s": 0.0}, {"x.makespan_s": 0.0}, 0.25)
     check("zero-zero clean", not reg)
+
+    # Thread counts: differing pool_threads refuse to compare; equal or
+    # unrecorded ones compare as usual.
+    two = patched(GB_BASE, ["context", "pool_threads"], "2")
+    four = patched(GB_FRESH_OK, ["context"], {"pool_threads": "4"})
+    check("pool mismatch refused",
+          pool_threads_mismatch(two, four) is not None)
+    check("pool match compares",
+          pool_threads_mismatch(two, patched(four, ["context",
+                                                    "pool_threads"], "2"))
+          is None)
+    check("pool unrecorded compares",
+          pool_threads_mismatch(GB_BASE, four) is None)
 
     if failures:
         for label in failures:
