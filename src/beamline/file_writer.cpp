@@ -9,8 +9,7 @@ FileWriterService::FileWriterService(sim::Engine& eng,
                                      storage::StorageEndpoint& dest,
                                      Config config)
     : eng_(eng), dest_(dest), config_(config) {
-  sub_ = mirror.subscribe();
-  pump().detach();
+  mirror.attach([this](const FrameBatch& batch) { on_batch(batch); });
 }
 
 void FileWriterService::begin_scan(const data::ScanMetadata& scan) {
@@ -27,40 +26,36 @@ void FileWriterService::begin_scan(const data::ScanMetadata& scan) {
   active_[scan.scan_id] = std::move(state);
 }
 
-sim::Proc FileWriterService::pump() {
-  for (;;) {
-    FrameBatch batch = co_await sub_->queue().pop();
-    auto it = active_.find(batch.scan_id);
-    if (it == active_.end()) {
-      ++validation_errors_;
-      log_warn("filewriter") << "batch for unannounced scan "
-                             << batch.scan_id;
-      continue;
-    }
-    InProgress& state = it->second;
+void FileWriterService::on_batch(const FrameBatch& batch) {
+  auto it = active_.find(batch.scan_id);
+  if (it == active_.end()) {
+    ++validation_errors_;
+    log_warn("filewriter") << "batch for unannounced scan " << batch.scan_id;
+    return;
+  }
+  InProgress& state = it->second;
 
-    // Per-frame metadata validation (shape + angle range).
-    data::FrameMetadata meta;
-    meta.scan_id = batch.scan_id;
-    meta.angle_index = batch.first_angle + batch.count - 1;
-    meta.rows = state.scan.rows;
-    meta.cols = state.scan.cols;
-    meta.timestamp = batch.acquired_at;
-    if (!meta.validate(state.scan).ok()) {
-      ++validation_errors_;
-      continue;
-    }
+  // Per-frame metadata validation (shape + angle range).
+  data::FrameMetadata meta;
+  meta.scan_id = batch.scan_id;
+  meta.angle_index = batch.first_angle + batch.count - 1;
+  meta.rows = state.scan.rows;
+  meta.cols = state.scan.cols;
+  meta.timestamp = batch.acquired_at;
+  if (!meta.validate(state.scan).ok()) {
+    ++validation_errors_;
+    return;
+  }
 
-    state.frames_seen += batch.count;
-    state.bytes_seen += batch.bytes;
-    state.digest.update(&batch.first_angle, sizeof batch.first_angle);
+  state.frames_seen += batch.count;
+  state.bytes_seen += batch.bytes;
+  state.digest.update(&batch.first_angle, sizeof batch.first_angle);
 
-    if (batch.last_of_scan) state.saw_last = true;
-    if (state.saw_last && state.frames_seen >= state.scan.n_angles) {
-      InProgress done = std::move(state);
-      active_.erase(it);
-      finalize(std::move(done)).detach();
-    }
+  if (batch.last_of_scan) state.saw_last = true;
+  if (state.saw_last && state.frames_seen >= state.scan.n_angles) {
+    InProgress done = std::move(state);
+    active_.erase(it);
+    finalize(std::move(done)).detach();
   }
 }
 

@@ -10,7 +10,6 @@
 
 #include <functional>
 #include <map>
-#include <memory>
 #include <vector>
 
 #include "beamline/frames.hpp"
@@ -35,6 +34,9 @@ class FileWriterService {
 
   FileWriterService(sim::Engine& eng, net::Channel<FrameBatch>& mirror,
                     storage::StorageEndpoint& dest, Config config = {});
+  // The mirror channel's sink holds `this`.
+  FileWriterService(const FileWriterService&) = delete;
+  FileWriterService& operator=(const FileWriterService&) = delete;
 
   // Announce an upcoming acquisition; batches for unannounced scans are
   // rejected and counted as validation errors.
@@ -61,13 +63,14 @@ class FileWriterService {
     Fnv1a64 digest;
   };
 
-  sim::Proc pump();
+  // Mirror-channel sink: validates one batch and finalizes the scan once
+  // every frame has landed.
+  void on_batch(const FrameBatch& batch);
   sim::Proc finalize(InProgress state);
 
   sim::Engine& eng_;
   storage::StorageEndpoint& dest_;
   Config config_;
-  std::shared_ptr<net::Subscription<FrameBatch>> sub_;
   std::map<std::string, InProgress> active_;
   std::vector<CompletionCallback> callbacks_;
   std::size_t scans_written_ = 0;

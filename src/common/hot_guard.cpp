@@ -137,10 +137,11 @@ void exit_impl() noexcept {
 
 // Counting replacements for the global allocation functions. They forward
 // to malloc/free (so the sanitizers' malloc interceptors still see every
-// allocation) and report the requested size to the guard first. The
-// nothrow and sized/aligned delete forms all funnel through these four
-// entry points per the standard library's default implementations; the
-// aligned news are replaced explicitly because they do not.
+// allocation) and report the requested size to the guard first. Every
+// form is replaced, nothrow ones included: under ASan an unreplaced form
+// comes from ASan's own allocator, so the guard's free() in the matching
+// delete would abort with alloc-dealloc-mismatch, and the allocation
+// would go uncounted.
 namespace alsflow::hotguard {
 namespace {
 inline void hook(std::size_t bytes) noexcept { note_alloc(bytes); }
@@ -182,6 +183,40 @@ void* operator new[](std::size_t size, std::align_val_t align) {
   return ::operator new(size, align);
 }
 
+void* operator new(std::size_t size, const std::nothrow_t&) noexcept {
+  try {
+    return ::operator new(size);
+  } catch (...) {
+    return nullptr;
+  }
+}
+
+void* operator new[](std::size_t size, const std::nothrow_t&) noexcept {
+  try {
+    return ::operator new[](size);
+  } catch (...) {
+    return nullptr;
+  }
+}
+
+void* operator new(std::size_t size, std::align_val_t align,
+                   const std::nothrow_t&) noexcept {
+  try {
+    return ::operator new(size, align);
+  } catch (...) {
+    return nullptr;
+  }
+}
+
+void* operator new[](std::size_t size, std::align_val_t align,
+                     const std::nothrow_t&) noexcept {
+  try {
+    return ::operator new[](size, align);
+  } catch (...) {
+    return nullptr;
+  }
+}
+
 void operator delete(void* p) noexcept { std::free(p); }
 void operator delete[](void* p) noexcept { std::free(p); }
 void operator delete(void* p, std::size_t) noexcept { std::free(p); }
@@ -192,6 +227,18 @@ void operator delete(void* p, std::size_t, std::align_val_t) noexcept {
   std::free(p);
 }
 void operator delete[](void* p, std::size_t, std::align_val_t) noexcept {
+  std::free(p);
+}
+void operator delete(void* p, const std::nothrow_t&) noexcept { std::free(p); }
+void operator delete[](void* p, const std::nothrow_t&) noexcept {
+  std::free(p);
+}
+void operator delete(void* p, std::align_val_t,
+                     const std::nothrow_t&) noexcept {
+  std::free(p);
+}
+void operator delete[](void* p, std::align_val_t,
+                       const std::nothrow_t&) noexcept {
   std::free(p);
 }
 

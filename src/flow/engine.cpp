@@ -605,32 +605,35 @@ void FlowEngine::clear_active_task_span(const std::string& run_id) {
   active_task_spans_.erase(run_id);
 }
 
-sim::Proc FlowEngine::schedule_loop(std::string name, Seconds interval,
-                                    Seconds initial_delay,
-                                    std::string parameters,
-                                    std::shared_ptr<bool> alive) {
-  co_await sim::delay(sim_, initial_delay);
-  while (*alive) {
-    (void)co_await run_flow(name, parameters);
-    co_await sim::delay(sim_, interval);
-  }
+void FlowEngine::arm_schedule(std::shared_ptr<Schedule> schedule,
+                              Seconds delay) {
+  sim_.schedule_in(delay, [this, schedule] {
+    if (!schedule->alive) return;
+    [](FlowEngine* self, std::shared_ptr<Schedule> s) -> sim::Proc {
+      (void)co_await self->run_flow(s->flow, s->parameters);
+      self->arm_schedule(s, s->interval);
+    }(this, schedule)
+        .detach();
+  });
 }
 
 int FlowEngine::schedule_periodic(const std::string& name, Seconds interval,
                                   Seconds initial_delay,
                                   std::string parameters) {
-  auto alive = std::make_shared<bool>(true);
+  auto schedule = std::make_shared<Schedule>();
+  schedule->flow = name;
+  schedule->parameters = std::move(parameters);
+  schedule->interval = interval;
   const int handle = next_schedule_++;
-  schedules_[handle] = alive;
-  schedule_loop(name, interval, initial_delay, std::move(parameters), alive)
-      .detach();
+  schedules_[handle] = schedule;
+  arm_schedule(std::move(schedule), initial_delay);
   return handle;
 }
 
 void FlowEngine::cancel_schedule(int handle) {
   auto it = schedules_.find(handle);
   if (it != schedules_.end()) {
-    *it->second = false;
+    it->second->alive = false;
     schedules_.erase(it);
   }
 }

@@ -255,9 +255,15 @@ class FlowEngine {
                                     TaskOptions options);
 
   sim::Semaphore& pool(const std::string& name);
-  sim::Proc schedule_loop(std::string name, Seconds interval,
-                          Seconds initial_delay, std::string parameters,
-                          std::shared_ptr<bool> alive);
+  // A periodic schedule is a chain of engine timers: each tick starts one
+  // run of `flow`, and that run arms the next tick when it finishes.
+  struct Schedule {
+    std::string flow;
+    std::string parameters;
+    Seconds interval = 0.0;
+    bool alive = true;  // cleared by cancel_schedule
+  };
+  void arm_schedule(std::shared_ptr<Schedule> schedule, Seconds delay);
   void remember_idempotent_success(const std::string& key)
       ALSFLOW_EXCLUDES(mu_);
   bool idempotency_hit(const std::string& key) const ALSFLOW_EXCLUDES(mu_);
@@ -280,7 +286,7 @@ class FlowEngine {
   std::set<std::string> idempotency_cache_ ALSFLOW_GUARDED_BY(mu_);
   // Insertion order (FIFO eviction).
   std::deque<std::string> idempotency_order_ ALSFLOW_GUARDED_BY(mu_);
-  std::map<int, std::shared_ptr<bool>> schedules_;
+  std::map<int, std::shared_ptr<Schedule>> schedules_;
   int next_schedule_ = 1;
   // Crash state: true between halt() and replay(). Engine-thread only.
   bool halted_ = false;

@@ -1,6 +1,5 @@
 #include "hpc/slurm.hpp"
 
-#include <algorithm>
 #include <cassert>
 
 #include "common/log.hpp"
@@ -48,8 +47,9 @@ JobId SlurmCluster::submit(JobSpec spec) {
   rec.info.id = id;
   rec.info.spec = std::move(spec);
   rec.info.submitted_at = eng_.now();
+  const int priority = qos_priority(rec.info.spec.qos);
   jobs_.emplace(id, std::move(rec));
-  pending_.push_back(id);
+  pending_.emplace(-priority, id);
   // Scheduling runs as a separate event so a submit inside another job's
   // callback observes consistent state.
   eng_.schedule_in(0.0, [this] { try_schedule(); });
@@ -57,18 +57,12 @@ JobId SlurmCluster::submit(JobSpec spec) {
 }
 
 void SlurmCluster::try_schedule() {
-  // Highest QOS priority first, FIFO within a priority class.
-  std::stable_sort(pending_.begin(), pending_.end(),
-                   [this](JobId a, JobId b) {
-                     return qos_priority(jobs_.at(a).info.spec.qos) >
-                            qos_priority(jobs_.at(b).info.spec.qos);
-                   });
   // FCFS without backfill: stop at the first job that does not fit, so a
   // wide high-priority job is never starved by narrow later arrivals.
   while (!pending_.empty()) {
-    JobRecord& rec = jobs_.at(pending_.front());
+    JobRecord& rec = jobs_.at(pending_.begin()->second);
     if (busy_nodes_ + rec.info.spec.nodes > n_nodes_) break;
-    pending_.pop_front();
+    pending_.erase(pending_.begin());
 
     busy_nodes_ += rec.info.spec.nodes;
     rec.info.state = JobState::Running;
@@ -116,8 +110,7 @@ Status SlurmCluster::cancel(JobId id) {
   JobRecord& rec = it->second;
   switch (rec.info.state) {
     case JobState::Pending: {
-      auto p = std::find(pending_.begin(), pending_.end(), id);
-      if (p != pending_.end()) pending_.erase(p);
+      pending_.erase({-qos_priority(rec.info.spec.qos), id});
       rec.info.state = JobState::Cancelled;
       rec.info.finished_at = eng_.now();
       rec.done.trigger();

@@ -9,10 +9,11 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <map>
+#include <set>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/result.hpp"
@@ -93,7 +94,10 @@ class SlurmCluster {
   int busy_nodes_ = 0;
   JobId next_id_ = 1;
   std::map<JobId, JobRecord> jobs_;
-  std::deque<JobId> pending_;
+  // Pending jobs keyed by (-qos priority, id). Ids are issued in
+  // submission order, so begin() is the next job to start: highest
+  // priority first, FIFO within a priority class.
+  std::set<std::pair<int, JobId>> pending_;
 };
 
 }  // namespace alsflow::hpc

@@ -6,13 +6,15 @@
 // without loading the IOC. Delivery to each subscriber is optionally
 // delayed through a Link (the ESnet hop for the remote streaming service).
 //
-// Subscriber semantics mirror PVA monitors: per-subscriber FIFO queue with
-// a bounded depth; when the queue overruns, the oldest message is dropped
-// and a counter increments (slow-consumer overrun, visible in tests).
+// Subscribers are sinks: each message is handed to a callback as it is
+// delivered, so services consume frames without a parked coroutine.
+// Polling consumers subscribe() a queue instead, with PVA monitor
+// semantics: a per-subscriber FIFO with a bounded depth; when the queue
+// overruns, the oldest message is dropped and a counter increments
+// (slow-consumer overrun, visible in tests).
 #pragma once
 
 #include <cstddef>
-#include <deque>
 #include <functional>
 #include <memory>
 #include <string>
@@ -53,28 +55,32 @@ class Subscription {
 template <typename T>
 class Channel {
  public:
+  // A sink receives each message synchronously when it is delivered: inside
+  // publish() for a local subscriber, when the link transfer lands for a
+  // remote one. A sink must not publish back into the channel it listens
+  // on (none does: the mirror republishes on its own channel).
+  using Sink = std::function<void(T)>;
+  using SizeFn = std::function<Bytes(const T&)>;
+
   Channel(sim::Engine& eng, std::string name) : eng_(eng), name_(std::move(name)) {}
 
   const std::string& name() const { return name_; }
 
-  // Subscribe with an optional delivery link (bandwidth/latency between
-  // publisher and this subscriber) and per-message payload size.
+  // Deliver every message to `sink`, optionally through a link
+  // (bandwidth/latency between publisher and this subscriber) with a
+  // per-message payload size.
+  void attach(Sink sink, Link* link = nullptr, SizeFn size_fn = {}) {
+    subs_.push_back(Entry{std::move(sink), link, std::move(size_fn)});
+  }
+
+  // Subscribe a polling consumer: messages land in a queue (fixed payload
+  // size per message when delivered through `link`).
   std::shared_ptr<Subscription<T>> subscribe(Link* link = nullptr,
                                              Bytes message_bytes = 0,
                                              std::size_t max_depth = 0) {
     auto sub = std::make_shared<Subscription<T>>(max_depth);
-    Bytes fixed = message_bytes;
-    subs_.push_back(Entry{sub, link, [fixed](const T&) { return fixed; }});
-    return sub;
-  }
-
-  // Subscribe with a per-message size function (variable-size payloads,
-  // e.g. frame batches).
-  std::shared_ptr<Subscription<T>> subscribe_sized(
-      Link* link, std::function<Bytes(const T&)> size_fn,
-      std::size_t max_depth = 0) {
-    auto sub = std::make_shared<Subscription<T>>(max_depth);
-    subs_.push_back(Entry{sub, link, std::move(size_fn)});
+    attach([sub](T msg) { sub->deliver(std::move(msg)); }, link,
+           [message_bytes](const T&) { return message_bytes; });
     return sub;
   }
 
@@ -84,7 +90,7 @@ class Channel {
       if (entry.link != nullptr) {
         deliver_via_link(entry, msg);
       } else {
-        entry.sub->deliver(msg);
+        entry.sink(msg);
       }
     }
   }
@@ -94,19 +100,18 @@ class Channel {
 
  private:
   struct Entry {
-    std::shared_ptr<Subscription<T>> sub;
+    Sink sink;
     Link* link;
-    std::function<Bytes(const T&)> size_fn;
+    SizeFn size_fn;
   };
 
   void deliver_via_link(Entry& entry, T msg) {
     const Bytes bytes = entry.size_fn ? entry.size_fn(msg) : 0;
     // Fire-and-forget coroutine: traverse the link, then deliver.
-    [](Link* link, Bytes b, std::shared_ptr<Subscription<T>> sub,
-       T m) -> sim::Proc {
+    [](Link* link, Bytes b, Sink sink, T m) -> sim::Proc {
       co_await link->send(b);
-      sub->deliver(std::move(m));
-    }(entry.link, bytes, entry.sub, std::move(msg))
+      sink(std::move(m));
+    }(entry.link, bytes, entry.sink, std::move(msg))
         .detach();
   }
 
@@ -123,25 +128,21 @@ template <typename T>
 class MirrorServer {
  public:
   MirrorServer(sim::Engine& eng, Channel<T>& upstream, std::string name)
-      : out_(eng, std::move(name)),
-        in_(upstream.subscribe()) {
-    pump().detach();
+      : out_(eng, std::move(name)) {
+    upstream.attach([this](T msg) {
+      ++forwarded_;
+      out_.publish(std::move(msg));
+    });
   }
+  // The upstream channel's sink holds `this`.
+  MirrorServer(const MirrorServer&) = delete;
+  MirrorServer& operator=(const MirrorServer&) = delete;
 
   Channel<T>& channel() { return out_; }
   std::size_t forwarded() const { return forwarded_; }
 
  private:
-  sim::Proc pump() {
-    for (;;) {
-      T msg = co_await in_->queue().pop();
-      ++forwarded_;
-      out_.publish(std::move(msg));
-    }
-  }
-
   Channel<T> out_;
-  std::shared_ptr<Subscription<T>> in_;
   std::size_t forwarded_ = 0;
 };
 

@@ -443,24 +443,25 @@ sim::Future<Status> Facility::prune_endpoint_flow(
 // Drivers
 // ---------------------------------------------------------------------------
 
-sim::Proc Facility::background_job_generator(Seconds until) {
+void Facility::arm_background_arrival(Seconds until) {
+  if (eng_.now() >= until) return;
   // Poisson arrivals sized to hold the requested utilization.
   const double arrival_mean =
       config_.background_job_mean /
       (config_.background_utilization * double(config_.perlmutter_nodes));
-  while (eng_.now() < until) {
-    co_await sim::delay(eng_, rng_.exponential(arrival_mean));
+  eng_.schedule_in(rng_.exponential(arrival_mean), [this, until] {
     hpc::JobSpec job;
     job.name = "background";
     job.qos = hpc::Qos::Regular;
     job.duration = rng_.exponential(config_.background_job_mean);
     job.walltime_limit = job.duration + hours(1);
     perlmutter_.submit(job);
-  }
+    arm_background_arrival(until);
+  });
 }
 
 void Facility::start_background_load(Seconds duration) {
-  background_job_generator(eng_.now() + duration).detach();
+  arm_background_arrival(eng_.now() + duration);
 }
 
 void Facility::start_pruning(Seconds period) {

@@ -193,7 +193,9 @@ class Facility {
   sim::Future<ScanOutcome> process_scan_impl(data::ScanMetadata scan,
                                              ScanOptions options);
   void register_flows();
-  sim::Proc background_job_generator(Seconds until);
+  // Background load as a timer chain: each arrival submits one job and
+  // arms the next arrival, until `until`.
+  void arm_background_arrival(Seconds until);
   sim::Future<Status> new_file_832(flow::FlowContext ctx);
   // The generic facility recon flow, parameterized by route. Pointer, not
   // reference: routes are Facility members and the coroutine frame

@@ -12,10 +12,9 @@ StreamingService::StreamingService(sim::Engine& eng,
                                    hpc::ComputeModel model)
     : eng_(eng), zmq_back_(zmq_back), model_(model) {
   // Frames traverse ESnet to the NERSC compute node as they are acquired.
-  sub_ = mirror.subscribe_sized(
-      &esnet_in,
-      [](const beamline::FrameBatch& b) { return b.bytes; });
-  pump().detach();
+  mirror.attach(
+      [this](const beamline::FrameBatch& batch) { on_batch(batch); },
+      &esnet_in, [](const beamline::FrameBatch& b) { return b.bytes; });
 }
 
 void StreamingService::begin_scan(const data::ScanMetadata& scan) {
@@ -31,30 +30,27 @@ void StreamingService::begin_scan(const data::ScanMetadata& scan) {
   active_[scan.scan_id] = std::move(a);
 }
 
-sim::Proc StreamingService::pump() {
-  for (;;) {
-    beamline::FrameBatch batch = co_await sub_->queue().pop();
-    Active* found = nullptr;
-    {
-      LockGuard lock(mu_);
-      auto it = active_.find(batch.scan_id);
-      if (it != active_.end()) found = &it->second;
+void StreamingService::on_batch(const beamline::FrameBatch& batch) {
+  Active* found = nullptr;
+  {
+    LockGuard lock(mu_);
+    auto it = active_.find(batch.scan_id);
+    if (it != active_.end()) found = &it->second;
+  }
+  if (found == nullptr) return;  // streaming not enabled for scan
+  Active& a = *found;
+  a.frames += batch.count;
+  a.bytes += batch.bytes;  // in-memory cache until acquisition completes
+  {
+    auto& tel = telemetry::global();
+    if (tel.enabled()) {
+      tel.metrics().counter("alsflow_streaming_frames_total").add(batch.count);
+      tel.metrics().counter("alsflow_streaming_bytes_total").add(batch.bytes);
     }
-    if (found == nullptr) continue;  // streaming not enabled for scan
-    Active& a = *found;
-    a.frames += batch.count;
-    a.bytes += batch.bytes;  // in-memory cache until acquisition completes
-    {
-      auto& tel = telemetry::global();
-      if (tel.enabled()) {
-        tel.metrics().counter("alsflow_streaming_frames_total").add(batch.count);
-        tel.metrics().counter("alsflow_streaming_bytes_total").add(batch.bytes);
-      }
-    }
-    if (batch.last_of_scan) a.saw_last = true;
-    if (a.saw_last && a.frames >= a.scan.n_angles) {
-      finalize(batch.scan_id).detach();
-    }
+  }
+  if (batch.last_of_scan) a.saw_last = true;
+  if (a.saw_last && a.frames >= a.scan.n_angles) {
+    finalize(batch.scan_id).detach();
   }
 }
 

@@ -72,13 +72,14 @@ class StreamingService {
   };
 
   sim::Future<StreamingReport> wait_preview_impl(std::string scan_id);
-  sim::Proc pump();
+  // Mirror-channel sink (after the ESnet hop): caches one batch and
+  // starts the back-projection once every frame has landed.
+  void on_batch(const beamline::FrameBatch& batch);
   sim::Proc finalize(std::string scan_id);
 
   sim::Engine& eng_;
   net::Link& zmq_back_;
   hpc::ComputeModel model_;
-  std::shared_ptr<net::Subscription<beamline::FrameBatch>> sub_;
   // Scan state mutates on the single engine thread; mu_ machine-checks the
   // container-access contract and keeps cross-thread readers (tests,
   // exporters) safe. Never held across co_await; Active values reached

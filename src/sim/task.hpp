@@ -15,7 +15,11 @@
 //  * Waiters are resumed synchronously, in registration order, when a
 //    future resolves. Timed waits go through the Engine.
 //  * Suspended coroutine frames are only destroyed by running to
-//    completion: run simulations to quiescence (Engine::run()).
+//    completion, so nothing parks a coroutine at construction. A
+//    long-lived activity (a message consumer, a periodic schedule, an
+//    arrival process) is a handler or a chain of Engine timers, and a
+//    destroyed world frees every frame it built; only work still in
+//    flight when a run stops early (Engine::run_until) is stranded.
 //  * Exceptions escaping a simulation coroutine terminate the process;
 //    expected failures travel in Result<T> values instead.
 #pragma once

@@ -833,6 +833,12 @@ TEST(Replay, HaltStopsTaskRetriesAndWritesNoRecord) {
 
   auto report = w.flows.replay();
   EXPECT_EQ(report.runs_resubmitted, 1u);
+  // Recovery re-drives the interrupted run to a terminal state: with the
+  // engine back, its task retries normally and fails after 1 + max_retries
+  // attempts (on top of the one cut short by the crash).
+  w.eng.run();
+  EXPECT_EQ(attempts, 7);
+  EXPECT_EQ(w.db.runs("g").back().state, RunState::Failed);
 }
 
 }  // namespace

@@ -1,6 +1,10 @@
 // Integration tests: the full multi-facility world, end to end.
 #include <gtest/gtest.h>
 
+#if defined(__GLIBC__)
+#include <malloc.h>
+#endif
+
 #include "data/multiscale.hpp"
 #include "pipeline/campaign.hpp"
 #include "pipeline/facility.hpp"
@@ -266,6 +270,30 @@ TEST(Facility, PruningFreesExpiredData) {
   facility.start_pruning(hours(12));
   facility.engine().run_until(days(11));
   EXPECT_FALSE(facility.beamline_data().exists("/raw/old.ah5"));
+}
+
+TEST(Facility, TeardownFreesEveryCoroutineFrame) {
+  // Consumers are channel sinks and periodic work is timer chains, so a
+  // world with background load and pruning frees everything it built when
+  // it is destroyed. The horizon falls between prune runs: only work in
+  // flight at the horizon may strand a frame. (Under ASan the allocator is
+  // ASan's, and LeakSanitizer makes this check instead.)
+  auto build_and_destroy = [] {
+    Facility facility;
+    facility.start_background_load(hours(2));
+    facility.start_pruning(hours(1));
+    facility.engine().run_until(hours(1));
+    ASSERT_EQ(facility.run_db().runs_in_state("prune_cfs",
+                                              flow::RunState::Completed)
+                  .size(),
+              1u);
+  };
+  build_and_destroy();  // warm up lazily built process-wide state
+#if defined(__GLIBC__) && !defined(__SANITIZE_ADDRESS__)
+  const std::size_t before = mallinfo2().uordblks;
+  build_and_destroy();
+  EXPECT_EQ(mallinfo2().uordblks, before);
+#endif
 }
 
 TEST(Facility, PruneIncidentFailEarlyVsNaive) {

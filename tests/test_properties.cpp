@@ -2,7 +2,12 @@
 // whole parameter families, not just single examples.
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <iterator>
+#include <map>
+#include <set>
 #include <tuple>
+#include <utility>
 
 #include "common/rng.hpp"
 #include "common/stats.hpp"
@@ -186,26 +191,67 @@ TEST_P(SlurmSweep, SchedulerInvariants) {
   hpc::SlurmCluster cluster(eng, "c", nodes);
   Rng rng(GetParam());
 
+  // The test's own model of the pending queue, in the order jobs must
+  // start: QOS priority descending, then submission order.
+  using Key = std::pair<int, int>;  // (-qos priority, submission number)
+  std::map<Key, hpc::JobId> pending;
+  std::set<hpc::JobId> cancelled;
+  int submitted = 0;
+
   for (int i = 0; i < 40; ++i) {
     hpc::JobSpec spec;
     spec.name = "j" + std::to_string(i);
-    spec.qos = rng.bernoulli(0.3) ? hpc::Qos::Realtime : hpc::Qos::Regular;
+    spec.qos = rng.bernoulli(0.3)   ? hpc::Qos::Realtime
+               : rng.bernoulli(0.3) ? hpc::Qos::Debug
+                                    : hpc::Qos::Regular;
     spec.nodes = int(rng.uniform_int(1, 3));
     spec.duration = rng.exponential(100.0);
     spec.walltime_limit = spec.duration * (rng.bernoulli(0.1) ? 0.5 : 2.0);
     const Seconds at = rng.uniform(0.0, 500.0);
-    eng.schedule_at(at, [&cluster, spec] { cluster.submit(spec); });
+    eng.schedule_at(at, [&cluster, &pending, &submitted, spec]() mutable {
+      const Key key{-hpc::qos_priority(spec.qos), submitted++};
+      spec.on_start = [&pending, key] {
+        // The starting job heads the model's pending queue.
+        ASSERT_FALSE(pending.empty());
+        EXPECT_EQ(pending.begin()->first, key);
+        pending.erase(key);
+      };
+      pending[key] = cluster.submit(spec);
+    });
+  }
+  // Cancel random pending jobs: exactly the cancelled job leaves the queue.
+  for (int c = 0; c < 8; ++c) {
+    eng.schedule_at(rng.uniform(0.0, 600.0),
+                    [&cluster, &pending, &cancelled, &rng] {
+      if (pending.empty()) return;
+      auto it = std::next(pending.begin(),
+                          std::ptrdiff_t(rng.uniform_int(
+                              0, std::int64_t(pending.size()) - 1)));
+      const hpc::JobId id = it->second;
+      pending.erase(it);
+      cancelled.insert(id);
+      EXPECT_TRUE(cluster.cancel(id).ok());
+      EXPECT_EQ(cluster.pending_jobs(), pending.size());
+    });
   }
   // Sample oversubscription during the run.
   for (int t = 0; t < 100; ++t) {
-    eng.schedule_at(double(t) * 20.0, [&cluster, nodes] {
+    eng.schedule_at(double(t) * 20.0, [&cluster, &pending, nodes] {
       EXPECT_LE(cluster.busy_nodes(), nodes);
       EXPECT_GE(cluster.busy_nodes(), 0);
+      EXPECT_EQ(cluster.pending_jobs(), pending.size());
     });
   }
   eng.run();
 
+  EXPECT_FALSE(cancelled.empty());
   for (const auto& job : cluster.all_jobs()) {
+    if (cancelled.count(job.id) != 0) {
+      // Cancelled while pending: never started.
+      EXPECT_EQ(job.state, hpc::JobState::Cancelled);
+      EXPECT_LT(job.started_at, 0.0);
+      continue;
+    }
     // Every job reached a terminal state.
     EXPECT_TRUE(job.state == hpc::JobState::Completed ||
                 job.state == hpc::JobState::TimedOut)
@@ -220,6 +266,7 @@ TEST_P(SlurmSweep, SchedulerInvariants) {
   }
   EXPECT_EQ(cluster.busy_nodes(), 0);
   EXPECT_EQ(cluster.pending_jobs(), 0u);
+  EXPECT_TRUE(pending.empty());
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, SlurmSweep,
