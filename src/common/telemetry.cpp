@@ -95,10 +95,6 @@ std::string json_escape(const std::string& s) {
   return out;
 }
 
-namespace {
-
-// Format a double without trailing-zero noise; fixed format keeps the
-// exporter output deterministic across platforms.
 std::string fmt_double(double v) {
   char buf[40];
   std::snprintf(buf, sizeof buf, "%.6f", v);
@@ -107,8 +103,6 @@ std::string fmt_double(double v) {
   if (!s.empty() && s.back() == '.') s.pop_back();
   return s;
 }
-
-}  // namespace
 
 std::string Tracer::chrome_trace_json() const {
   std::vector<SpanRecord> snapshot = spans();

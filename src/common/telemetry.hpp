@@ -292,4 +292,8 @@ Telemetry& global();
 // exporters; exposed for tests).
 std::string json_escape(const std::string& s);
 
+// `%.6f` with trailing zeros (and a bare trailing point) trimmed: fixed
+// format keeps exporter output deterministic across platforms.
+std::string fmt_double(double v);
+
 }  // namespace alsflow::telemetry

@@ -1,20 +1,12 @@
 #include "monitor/flight_recorder.hpp"
 
-#include <cstdio>
 #include <utility>
 
 namespace alsflow::monitor {
 
 namespace {
 
-std::string fmt_double(double v) {
-  char buf[40];
-  std::snprintf(buf, sizeof buf, "%.6f", v);
-  std::string s(buf);
-  while (s.size() > 1 && s.back() == '0') s.pop_back();
-  if (!s.empty() && s.back() == '.') s.pop_back();
-  return s;
-}
+using telemetry::fmt_double;
 
 const char* domain_name(telemetry::ClockDomain d) {
   return d == telemetry::ClockDomain::Sim ? "sim" : "wall";

@@ -1,6 +1,5 @@
 #include "monitor/health_monitor.hpp"
 
-#include <algorithm>
 #include <cstdio>
 #include <utility>
 
@@ -60,34 +59,14 @@ void HealthMonitor::uninstall() {
   installed_ = false;
 }
 
-std::vector<double> HealthMonitor::sample_watermarks() const {
-  // Copy the probe functions under the lock, invoke them after release:
-  // probes are user callbacks (they typically read the run database or
-  // this monitor itself) and running them under m_ both inverts the lock
-  // order and self-deadlocks on reentrant reads.
-  std::vector<std::function<double()>> probes;
-  {
-    LockGuard lock(m_);
-    probes.reserve(watermarks_.size());
-    for (const Watermark& w : watermarks_) probes.push_back(w.probe);
-  }
-  std::vector<double> values(probes.size(), 0.0);
-  for (std::size_t i = 0; i < probes.size(); ++i) {
-    if (probes[i]) values[i] = probes[i]();
-  }
-  return values;
-}
-
-void HealthMonitor::check_watermarks_locked(
-    Seconds now, const std::vector<double>& probed) {
-  // probed[i] pairs with watermarks_[i] from the sample_watermarks call;
-  // min() guards the (setup-time-only) case of a watermark added between
-  // the sample and the apply.
-  const std::size_t n = std::min(watermarks_.size(), probed.size());
-  for (std::size_t i = 0; i < n; ++i) {
+void HealthMonitor::check_watermarks(Seconds now) {
+  UniqueLock lock(m_);
+  for (std::size_t i = 0; i < watermarks_.size(); ++i) {
     Watermark& w = watermarks_[i];
     if (!w.probe) continue;
-    const double cur = probed[i];
+    lock.unlock();
+    const double cur = w.probe();
+    lock.lock();
     if (cur < w.high) {
       if (!w.tripped) {
         w.tripped = true;
@@ -112,10 +91,9 @@ void HealthMonitor::check_watermarks_locked(
 
 void HealthMonitor::on_event(const telemetry::MonitorEvent& ev) {
   recorder_.record_event(ev);
-  const std::vector<double> probed = sample_watermarks();
+  check_watermarks(ev.t);
   LockGuard lock(m_);
   ++events_seen_;
-  check_watermarks_locked(ev.t, probed);
   for (const Alert& a : slos_.ingest(ev)) {
     if (cfg_.snapshot_on_alert) {
       incidents_.push_back(recorder_.snapshot(a, ev.t));
@@ -124,9 +102,8 @@ void HealthMonitor::on_event(const telemetry::MonitorEvent& ev) {
 }
 
 void HealthMonitor::sweep(Seconds now) {
-  const std::vector<double> probed = sample_watermarks();
+  check_watermarks(now);
   LockGuard lock(m_);
-  check_watermarks_locked(now, probed);
   slos_.sweep(now);
 }
 

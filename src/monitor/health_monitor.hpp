@@ -20,6 +20,7 @@
 #pragma once
 
 #include <cstddef>
+#include <deque>
 #include <functional>
 #include <map>
 #include <string>
@@ -98,13 +99,11 @@ class HealthMonitor final : public telemetry::EventSink {
     bool tripped = false;  // one alert per drop episode
   };
 
-  // Watermark probes are user callbacks: sample them with no lock held
-  // (sample_watermarks), then apply the sampled values under m_. A probe
-  // that reads this monitor — or any lower-ranked service — would
-  // otherwise self-deadlock or invert the lock order.
-  std::vector<double> sample_watermarks() const ALSFLOW_EXCLUDES(m_);
-  void check_watermarks_locked(Seconds now, const std::vector<double>& probed)
-      ALSFLOW_REQUIRES(m_);
+  // Re-read every watermark probe and apply its value at `now`. Probes are
+  // user callbacks, so each runs with m_ released: a probe that reads this
+  // monitor — or any lower-ranked service — would otherwise self-deadlock
+  // or invert the lock order.
+  void check_watermarks(Seconds now) ALSFLOW_EXCLUDES(m_);
 
   Config cfg_;
   FlightRecorder recorder_;
@@ -112,7 +111,9 @@ class HealthMonitor final : public telemetry::EventSink {
 
   mutable Mutex m_{LockRank::kHealthMonitor, "monitor.health"};
   SloEngine slos_ ALSFLOW_GUARDED_BY(m_);
-  std::vector<Watermark> watermarks_ ALSFLOW_GUARDED_BY(m_);
+  // A deque, so a watermark stays put while add_watermark appends: its
+  // probe (never written once added) runs outside m_.
+  std::deque<Watermark> watermarks_ ALSFLOW_GUARDED_BY(m_);
   std::vector<std::string> incidents_ ALSFLOW_GUARDED_BY(m_);
   std::size_t events_seen_ ALSFLOW_GUARDED_BY(m_) = 0;
 };

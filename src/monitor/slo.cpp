@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <string_view>
+#include <utility>
 
 namespace alsflow::monitor {
 
@@ -11,14 +13,7 @@ const char* severity_name(Severity s) {
 
 namespace {
 
-std::string fmt_double(double v) {
-  char buf[40];
-  std::snprintf(buf, sizeof buf, "%.6f", v);
-  std::string s(buf);
-  while (s.size() > 1 && s.back() == '0') s.pop_back();
-  if (!s.empty() && s.back() == '.') s.pop_back();
-  return s;
-}
+using telemetry::fmt_double;
 
 bool more_severe(Severity a, Severity b) {
   return a == Severity::Page && b == Severity::Ticket;
@@ -71,13 +66,21 @@ void SloEngine::add(SloSpec spec) {
                             o * 2.0,   o * 4.0,  o * 8.0};
     }
   }
+  // Samples live as long as the longest window anyone reads: rule windows
+  // for alerting, and health()'s one-hour floor.
+  Seconds retention = 3600.0;
+  for (const BurnRule& r : spec.rules) {
+    retention = std::max(retention, r.window);
+  }
   LockGuard lock(m_);
-  specs_.push_back(std::move(spec));
+  slos_.push_back(Slo{std::move(spec), retention, {}});
 }
 
 std::vector<SloSpec> SloEngine::specs() const {
   LockGuard lock(m_);
-  return specs_;
+  std::vector<SloSpec> out;
+  for (const Slo& slo : slos_) out.push_back(slo.spec);
+  return out;
 }
 
 std::vector<Alert> SloEngine::alerts() const {
@@ -85,65 +88,116 @@ std::vector<Alert> SloEngine::alerts() const {
   return history_;
 }
 
-SloEngine::Burn SloEngine::burn_rates(const Series& s, const SloSpec& spec,
-                                      const BurnRule& rule,
-                                      Seconds now) const {
-  Burn b;
-  const Seconds long_from = now - rule.window;
-  const Seconds short_from = now - rule.window / kShortDivisor;
-  std::size_t bad_long = 0, n_short = 0, bad_short = 0;
-  std::map<std::string, std::size_t> bad_details;
-  for (const Sample& sm : s.samples) {
-    if (sm.t < long_from) continue;
-    ++b.n_long;
-    if (!sm.good) {
-      ++bad_long;
-      ++bad_details[sm.detail];
+SloEngine::Series::Series(const SloSpec& spec)
+    : cursors(2 * spec.rules.size(), 0),
+      values(std::make_unique<telemetry::Histogram>(spec.value_buckets)) {}
+
+void SloEngine::Series::add(Seconds t, bool good, const std::string& detail,
+                            Seconds retention) {
+  // Samples arrive in time order but for a few stragglers (a delivery
+  // stamped before one already seen), which go in at their time. One older
+  // than the retention horizon is aged out below at once.
+  std::size_t pos = samples.size();
+  if (!samples.empty() && t < samples.back().t) {
+    const auto it = std::upper_bound(
+        samples.begin() + std::ptrdiff_t(head), samples.end(), t,
+        [](Seconds v, const Sample& sm) { return v < sm.t; });
+    pos = std::size_t(it - samples.begin());
+  }
+  const std::uint64_t ordinal = bad_before_at(pos);
+  samples.insert(samples.begin() + std::ptrdiff_t(pos), Sample{t, ordinal});
+  if (!good) {
+    for (std::size_t i = pos + 1; i < samples.size(); ++i) {
+      ++samples[i].bad_before;
     }
-    if (sm.t >= short_from) {
-      ++n_short;
-      if (!sm.good) ++bad_short;
-    }
+    details.insert(details.begin() + std::ptrdiff_t(ordinal - details_base),
+                   detail);
+    ++bad;
   }
-  const double budget = std::max(1.0 - spec.target_fraction, 1e-9);
-  if (b.n_long > 0) {
-    b.burn_long = (double(bad_long) / double(b.n_long)) / budget;
+  // Age out the front. The newest sample never goes, so samples[head]
+  // exists, and its bad_before is the first live bad sample's ordinal.
+  const Seconds horizon = samples.back().t - retention;
+  while (samples[head].t < horizon) ++head;
+  for (; details_base < samples[head].bad_before; ++details_base) {
+    details.pop_front();
   }
-  if (n_short > 0) {
-    b.burn_short = (double(bad_short) / double(n_short)) / budget;
+  if (head >= 64 && 2 * head >= samples.size()) {
+    samples.erase(samples.begin(), samples.begin() + std::ptrdiff_t(head));
+    for (std::size_t& c : cursors) c = c > head ? c - head : 0;
+    head = 0;
   }
-  // Dominant failure cause: most frequent bad-sample detail, ties broken
-  // lexicographically (std::map iteration order) for determinism.
-  std::size_t best = 0;
-  for (const auto& [detail, n] : bad_details) {
-    if (n > best) {
-      best = n;
-      b.detail = detail;
-    }
-  }
-  return b;
 }
 
-std::optional<std::pair<BurnRule, SloEngine::Burn>> SloEngine::firing(
-    const Series& s, const SloSpec& spec, Seconds now) const {
-  std::optional<std::pair<BurnRule, Burn>> out;
-  for (const BurnRule& rule : spec.rules) {
-    Burn b = burn_rates(s, spec, rule, now);
-    if (b.n_long < std::max<std::size_t>(spec.min_samples, 1)) continue;
-    if (b.burn_long < rule.burn_threshold) continue;
-    if (b.burn_short < rule.burn_threshold) continue;
-    if (!out || more_severe(rule.severity, out->first.severity)) {
-      out = {rule, b};
+std::uint64_t SloEngine::Series::bad_before_at(std::size_t i) const {
+  return i < samples.size() ? samples[i].bad_before : bad;
+}
+
+std::size_t SloEngine::Series::first_at(Seconds from,
+                                        std::size_t* cursor) const {
+  if (cursor == nullptr) {
+    const auto it = std::partition_point(
+        samples.begin() + std::ptrdiff_t(head), samples.end(),
+        [from](const Sample& sm) { return sm.t < from; });
+    return std::size_t(it - samples.begin());
+  }
+  std::size_t c = std::clamp(*cursor, head, samples.size());
+  while (c < samples.size() && samples[c].t < from) ++c;
+  while (c > head && samples[c - 1].t >= from) --c;
+  return *cursor = c;
+}
+
+SloEngine::Series::Window SloEngine::Series::window(std::size_t first) const {
+  return {samples.size() - first, std::size_t(bad - bad_before_at(first))};
+}
+
+std::string SloEngine::Series::dominant_detail(std::size_t first) const {
+  std::map<std::string_view, std::size_t> counts;
+  for (std::uint64_t k = bad_before_at(first); k < bad; ++k) {
+    ++counts[details[std::size_t(k - details_base)]];
+  }
+  std::string_view best;
+  std::size_t best_n = 0;
+  for (const auto& [detail, n] : counts) {
+    if (n > best_n) {
+      best_n = n;
+      best = detail;
+    }
+  }
+  return std::string(best);
+}
+
+std::optional<SloEngine::Firing> SloEngine::firing(const Slo& slo,
+                                                   const Series& s,
+                                                   Seconds now,
+                                                   std::size_t* cursors) {
+  const SloSpec& spec = slo.spec;
+  const double budget = std::max(1.0 - spec.target_fraction, 1e-9);
+  auto burn = [budget](Series::Window w) {
+    return w.n > 0 ? (double(w.bad) / double(w.n)) / budget : 0.0;
+  };
+  std::optional<Firing> out;
+  for (std::size_t i = 0; i < spec.rules.size(); ++i) {
+    const BurnRule& rule = spec.rules[i];
+    std::size_t* cursor = cursors != nullptr ? cursors + 2 * i : nullptr;
+    const std::size_t first_long = s.first_at(now - rule.window, cursor);
+    const Series::Window wl = s.window(first_long);
+    if (wl.n < std::max<std::size_t>(spec.min_samples, 1)) continue;
+    const double burn_long = burn(wl);
+    if (burn_long < rule.burn_threshold) continue;
+    const double burn_short = burn(s.window(
+        s.first_at(now - rule.window / kShortDivisor,
+                   cursor != nullptr ? cursor + 1 : nullptr)));
+    if (burn_short < rule.burn_threshold) continue;
+    if (!out || more_severe(rule.severity, out->rule->severity)) {
+      out = Firing{&rule, burn_long, burn_short, first_long};
     }
   }
   return out;
 }
 
-void SloEngine::evaluate(const SeriesKey& key, Seconds now,
-                         std::vector<Alert>* fired) {
-  const SloSpec& spec = specs_[key.first];
-  Series& s = series_[key];
-  auto f = firing(s, spec, now);
+void SloEngine::evaluate(const Slo& slo, const std::string& target,
+                         Series& s, Seconds now, std::vector<Alert>* fired) {
+  auto f = firing(slo, s, now, s.cursors.data());
   if (!f) {
     if (s.active_alert >= 0) {
       history_[std::size_t(s.active_alert)].resolved_at = now;
@@ -153,22 +207,22 @@ void SloEngine::evaluate(const SeriesKey& key, Seconds now,
   }
   if (s.active_alert >= 0) {
     Alert& cur = history_[std::size_t(s.active_alert)];
-    if (!more_severe(f->first.severity, cur.severity)) return;
+    if (!more_severe(f->rule->severity, cur.severity)) return;
     // Escalation (Ticket -> Page): close the ticket, open a page.
     cur.resolved_at = now;
     s.active_alert = -1;
   }
   Alert a;
   a.id = history_.size() + 1;
-  a.slo = spec.name;
-  a.target = key.second;
-  a.stage = spec.stage;
-  a.severity = f->first.severity;
+  a.slo = slo.spec.name;
+  a.target = target;
+  a.stage = slo.spec.stage;
+  a.severity = f->rule->severity;
   a.fired_at = now;
-  a.window = f->first.window;
-  a.burn_long = f->second.burn_long;
-  a.burn_short = f->second.burn_short;
-  a.detail = f->second.detail;
+  a.window = f->rule->window;
+  a.burn_long = f->burn_long;
+  a.burn_short = f->burn_short;
+  a.detail = s.dominant_detail(f->first_long);
   s.active_alert = std::int64_t(history_.size());
   history_.push_back(a);
   if (fired != nullptr) fired->push_back(a);
@@ -177,34 +231,20 @@ void SloEngine::evaluate(const SeriesKey& key, Seconds now,
 std::vector<Alert> SloEngine::ingest(const telemetry::MonitorEvent& ev) {
   std::vector<Alert> fired;
   LockGuard lock(m_);
-  for (std::size_t i = 0; i < specs_.size(); ++i) {
-    const SloSpec& spec = specs_[i];
+  for (Slo& slo : slos_) {
+    const SloSpec& spec = slo.spec;
     if (spec.component != ev.component || spec.kind != ev.kind) continue;
-    const std::string& target =
-        spec.per_target ? ev.target : spec.service_target;
-    SeriesKey key{i, target};
-    Series& s = series_[key];
-    if (!s.values) {
-      s.values = std::make_unique<telemetry::Histogram>(spec.value_buckets);
+    const auto it = slo.series.try_emplace(
+        spec.per_target ? ev.target : spec.service_target, spec).first;
+    Series& s = it->second;
+    bool good = ev.ok;
+    if (!spec.use_ok_flag) {
+      good = spec.higher_is_better ? ev.value >= spec.objective
+                                   : ev.value <= spec.objective;
     }
-    Sample sm;
-    sm.t = ev.t;
-    sm.value = ev.value;
-    sm.good = spec.use_ok_flag
-                  ? ev.ok
-                  : (spec.higher_is_better ? ev.value >= spec.objective
-                                           : ev.value <= spec.objective);
-    sm.detail = ev.detail;
-    s.samples.push_back(std::move(sm));
+    s.add(ev.t, good, ev.detail, slo.retention);
     s.values->observe(ev.value);
-    // Bound memory: drop samples older than the longest window anyone
-    // reads — rule windows for alerting, and health()'s one-hour floor.
-    Seconds longest = 3600.0;
-    for (const BurnRule& r : spec.rules) longest = std::max(longest, r.window);
-    while (!s.samples.empty() && s.samples.front().t < ev.t - longest) {
-      s.samples.pop_front();
-    }
-    evaluate(key, ev.t, &fired);
+    evaluate(slo, it->first, s, ev.t, &fired);
   }
   return fired;
 }
@@ -227,11 +267,13 @@ Alert SloEngine::raise(std::string slo, std::string target,
 
 void SloEngine::sweep(Seconds now) {
   LockGuard lock(m_);
-  for (auto& [key, s] : series_) {
-    if (s.active_alert < 0) continue;
-    if (!firing(s, specs_[key.first], now)) {
-      history_[std::size_t(s.active_alert)].resolved_at = now;
-      s.active_alert = -1;
+  for (Slo& slo : slos_) {
+    for (auto& [target, s] : slo.series) {
+      if (s.active_alert < 0) continue;
+      if (!firing(slo, s, now, nullptr)) {
+        history_[std::size_t(s.active_alert)].resolved_at = now;
+        s.active_alert = -1;
+      }
     }
   }
 }
@@ -253,18 +295,13 @@ double SloEngine::health(const std::string& target, Seconds now) const {
 double SloEngine::health_locked(const std::string& target,
                                 Seconds now) const {
   double worst = 1.0;
-  for (const auto& [key, s] : series_) {
-    if (key.second != target) continue;
-    const SloSpec& spec = specs_[key.first];
-    Seconds window = 3600.0;
-    for (const BurnRule& r : spec.rules) window = std::max(window, r.window);
-    std::size_t n = 0, good = 0;
-    for (const Sample& sm : s.samples) {
-      if (sm.t < now - window) continue;
-      ++n;
-      if (sm.good) ++good;
-    }
-    if (n > 0) worst = std::min(worst, double(good) / double(n));
+  for (const Slo& slo : slos_) {
+    auto it = slo.series.find(target);
+    if (it == slo.series.end()) continue;
+    const Series& s = it->second;
+    const Series::Window w =
+        s.window(s.first_at(now - slo.retention, nullptr));
+    if (w.n > 0) worst = std::min(worst, double(w.n - w.bad) / double(w.n));
   }
   for (const Alert& a : history_) {
     if (!a.active() || a.target != target) continue;
@@ -276,7 +313,9 @@ double SloEngine::health_locked(const std::string& target,
 std::map<std::string, double> SloEngine::health_scores(Seconds now) const {
   LockGuard lock(m_);
   std::map<std::string, double> out;
-  for (const auto& [key, s] : series_) out[key.second] = 0.0;
+  for (const Slo& slo : slos_) {
+    for (const auto& [target, s] : slo.series) out[target] = 0.0;
+  }
   for (const Alert& a : history_) {
     if (a.active()) out[a.target] = 0.0;
   }
@@ -291,27 +330,23 @@ std::string SloEngine::summary(Seconds now) const {
   std::snprintf(line, sizeof line, "  %-24s %-24s %6s %6s %10s %10s %10s  %s\n",
                 "slo", "target", "n", "good%", "p50", "p95", "p99", "state");
   out += line;
-  for (std::size_t i = 0; i < specs_.size(); ++i) {
-    const SloSpec& spec = specs_[i];
-    for (const auto& [key, s] : series_) {
-      if (key.first != i) continue;
-      Seconds window = 0.0;
-      for (const BurnRule& r : spec.rules) window = std::max(window, r.window);
-      if (window <= 0.0) window = 3600.0;
-      std::size_t n = 0, good = 0;
-      for (const Sample& sm : s.samples) {
-        if (sm.t < now - window) continue;
-        ++n;
-        if (sm.good) ++good;
-      }
+  for (const Slo& slo : slos_) {
+    Seconds window = 0.0;
+    for (const BurnRule& r : slo.spec.rules) {
+      window = std::max(window, r.window);
+    }
+    if (window <= 0.0) window = 3600.0;
+    for (const auto& [target, s] : slo.series) {
+      const Series::Window w = s.window(s.first_at(now - window, nullptr));
       const char* state = "ok";
       if (s.active_alert >= 0) {
         state = severity_name(history_[std::size_t(s.active_alert)].severity);
       }
       std::snprintf(line, sizeof line,
                     "  %-24s %-24s %6zu %5.1f%% %10.3g %10.3g %10.3g  %s\n",
-                    spec.name.c_str(), key.second.c_str(), n,
-                    n > 0 ? 100.0 * double(good) / double(n) : 100.0,
+                    slo.spec.name.c_str(), target.c_str(), w.n,
+                    w.n > 0 ? 100.0 * double(w.n - w.bad) / double(w.n)
+                            : 100.0,
                     s.values->quantile(0.50), s.values->quantile(0.95),
                     s.values->quantile(0.99), state);
       out += line;

@@ -29,7 +29,6 @@
 #include <memory>
 #include <optional>
 #include <string>
-#include <utility>
 #include <vector>
 
 #include "common/telemetry.hpp"
@@ -133,40 +132,74 @@ class SloEngine {
   std::string summary(Seconds now) const;
 
  private:
-  struct Sample {
-    Seconds t = 0.0;
-    double value = 0.0;
-    bool good = true;
-    std::string detail;
-  };
+  // One attribution target's samples in time order, pruned to the spec's
+  // retention. Each sample carries the number of bad samples stored before
+  // it, so a window's bad count is the difference of two running counters
+  // at the window boundary (DESIGN.md §14).
   struct Series {
-    std::deque<Sample> samples;  // pruned to the spec's longest window
+    struct Sample {
+      Seconds t = 0.0;
+      std::uint64_t bad_before = 0;
+    };
+    // A window from `first` (an index into samples) to the newest sample.
+    struct Window {
+      std::size_t n = 0;
+      std::size_t bad = 0;
+    };
+
+    explicit Series(const SloSpec& spec);
+
+    // Store one sample in time order, then age out every sample more than
+    // `retention` older than the newest (a straggler that old goes at once).
+    void add(Seconds t, bool good, const std::string& detail,
+             Seconds retention);
+    // Index of the first live sample with t >= from. Given a cursor, walk
+    // it there from where the last call left it (O(1) amortized while
+    // `from` follows the clock); otherwise binary-search.
+    std::size_t first_at(Seconds from, std::size_t* cursor) const;
+    Window window(std::size_t first) const;
+    // Bad samples stored before index i (all of them at i == size).
+    std::uint64_t bad_before_at(std::size_t i) const;
+    // Most frequent detail among the window's bad samples, ties broken
+    // lexicographically; "" when none is bad.
+    std::string dominant_detail(std::size_t first) const;
+
+    std::vector<Sample> samples;  // live from `head`, sorted by t
+    std::size_t head = 0;
+    std::uint64_t bad = 0;  // bad samples ever stored
+    // Detail of each live bad sample, in sample order; the front one is
+    // the bad sample whose bad_before is details_base.
+    std::deque<std::string> details;
+    std::uint64_t details_base = 0;
+    std::vector<std::size_t> cursors;  // per rule: long, short boundary
     std::unique_ptr<telemetry::Histogram> values;  // all-time, for summary
     std::int64_t active_alert = -1;  // index into history_, -1 = none
   };
-  struct Burn {
+  // One spec and its series, by target.
+  struct Slo {
+    SloSpec spec;
+    Seconds retention = 0.0;  // longest window anyone reads
+    std::map<std::string, Series> series;
+  };
+  struct Firing {
+    const BurnRule* rule = nullptr;
     double burn_long = 0.0;
     double burn_short = 0.0;
-    std::size_t n_long = 0;
-    std::string detail;  // dominant bad detail in the long window
+    std::size_t first_long = 0;  // the rule's long window starts here
   };
 
-  using SeriesKey = std::pair<std::size_t, std::string>;  // (spec, target)
-
-  Burn burn_rates(const Series& s, const SloSpec& spec, const BurnRule& rule,
-                  Seconds now) const;
-  // Highest-severity rule currently firing for the series, if any.
-  std::optional<std::pair<BurnRule, Burn>> firing(const Series& s,
-                                                  const SloSpec& spec,
-                                                  Seconds now) const;
-  void evaluate(const SeriesKey& key, Seconds now, std::vector<Alert>* fired)
-      ALSFLOW_REQUIRES(m_);
+  // Highest-severity rule over its threshold on both windows at `now`, if
+  // any. `cursors` (two per rule) is the series' own on the ingest path,
+  // null for queries at arbitrary times.
+  static std::optional<Firing> firing(const Slo& slo, const Series& s,
+                                      Seconds now, std::size_t* cursors);
+  void evaluate(const Slo& slo, const std::string& target, Series& s,
+                Seconds now, std::vector<Alert>* fired) ALSFLOW_REQUIRES(m_);
   double health_locked(const std::string& target, Seconds now) const
       ALSFLOW_REQUIRES(m_);
 
   mutable Mutex m_{LockRank::kMonitorSlo, "monitor.slo"};
-  std::vector<SloSpec> specs_ ALSFLOW_GUARDED_BY(m_);
-  std::map<SeriesKey, Series> series_ ALSFLOW_GUARDED_BY(m_);
+  std::vector<Slo> slos_ ALSFLOW_GUARDED_BY(m_);
   std::vector<Alert> history_ ALSFLOW_GUARDED_BY(m_);
 };
 

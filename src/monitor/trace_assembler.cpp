@@ -11,14 +11,7 @@ const char* const kStages[6] = {"acquisition", "transfer", "facility_queue",
 
 namespace {
 
-std::string fmt_double(double v) {
-  char buf[40];
-  std::snprintf(buf, sizeof buf, "%.6f", v);
-  std::string s(buf);
-  while (s.size() > 1 && s.back() == '0') s.pop_back();
-  if (!s.empty() && s.back() == '.') s.pop_back();
-  return s;
-}
+using telemetry::fmt_double;
 
 const std::string* find_attr(const telemetry::SpanRecord& span,
                              const char* key) {

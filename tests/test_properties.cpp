@@ -2,12 +2,20 @@
 // whole parameter families, not just single examples.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <cstdint>
+#include <cstdio>
+#include <deque>
 #include <iterator>
 #include <map>
+#include <memory>
+#include <optional>
 #include <set>
+#include <string>
 #include <tuple>
 #include <utility>
+#include <vector>
 
 #include "common/rng.hpp"
 #include "common/stats.hpp"
@@ -15,6 +23,7 @@
 #include "data/multiscale.hpp"
 #include "flow/run_db.hpp"
 #include "hpc/slurm.hpp"
+#include "monitor/slo.hpp"
 #include "net/link.hpp"
 #include "storage/endpoint.hpp"
 #include "storage/retention.hpp"
@@ -468,6 +477,409 @@ TEST_P(PyramidSweep, LevelsShrinkAndMeanIsPreserved) {
 INSTANTIATE_TEST_SUITE_P(Shapes, PyramidSweep,
                          ::testing::Combine(::testing::Values(1, 3, 6),
                                             ::testing::Values(8, 16, 32)));
+
+
+// ---------------------------------------------------------------------------
+// SLO engine: the running-count windows agree with a linear scan.
+//
+// LinearScanSlo is SloEngine as it was before the windows became running
+// counts: every evaluation rescans each in-window sample for both windows of
+// every rule. One change: a sample older than its series' newest timestamp
+// minus the retention is dropped wherever it sits, where the old engine only
+// popped the front of its arrival-ordered deque (DESIGN.md §14's rule for
+// stragglers). On an in-order stream the deque is sorted and the two prunes
+// drop the same samples.
+// ---------------------------------------------------------------------------
+class LinearScanSlo {
+ public:
+  void add(monitor::SloSpec spec) {
+    if (spec.value_buckets.empty()) {
+      if (spec.use_ok_flag || spec.objective <= 0.0) {
+        spec.value_buckets = {0.5, 1.0};
+      } else {
+        const double o = spec.objective;
+        spec.value_buckets = {o * 0.125, o * 0.25, o * 0.5, o,
+                              o * 2.0,   o * 4.0,  o * 8.0};
+      }
+    }
+    specs_.push_back(std::move(spec));
+  }
+
+  std::vector<monitor::Alert> ingest(const telemetry::MonitorEvent& ev) {
+    std::vector<monitor::Alert> fired;
+    for (std::size_t i = 0; i < specs_.size(); ++i) {
+      const monitor::SloSpec& spec = specs_[i];
+      if (spec.component != ev.component || spec.kind != ev.kind) continue;
+      const std::string& target =
+          spec.per_target ? ev.target : spec.service_target;
+      SeriesKey key{i, target};
+      Series& s = series_[key];
+      if (!s.values) {
+        s.values = std::make_unique<telemetry::Histogram>(spec.value_buckets);
+      }
+      Sample sm;
+      sm.t = ev.t;
+      sm.good = spec.use_ok_flag
+                    ? ev.ok
+                    : (spec.higher_is_better ? ev.value >= spec.objective
+                                             : ev.value <= spec.objective);
+      sm.detail = ev.detail;
+      s.samples.push_back(std::move(sm));
+      s.values->observe(ev.value);
+      Seconds longest = 3600.0;
+      for (const monitor::BurnRule& r : spec.rules) {
+        longest = std::max(longest, r.window);
+      }
+      while (!s.samples.empty() && s.samples.front().t < ev.t - longest) {
+        s.samples.pop_front();
+      }
+      // The straggler rule; a no-op on an in-order stream.
+      s.newest = std::max(s.newest, ev.t);
+      std::erase_if(s.samples, [&](const Sample& x) {
+        return x.t < s.newest - longest;
+      });
+      evaluate(key, ev.t, &fired);
+    }
+    return fired;
+  }
+
+  void sweep(Seconds now) {
+    for (auto& [key, s] : series_) {
+      if (s.active_alert < 0) continue;
+      if (!firing(s, specs_[key.first], now)) {
+        history_[std::size_t(s.active_alert)].resolved_at = now;
+        s.active_alert = -1;
+      }
+    }
+  }
+
+  const std::vector<monitor::Alert>& alerts() const { return history_; }
+
+  double health(const std::string& target, Seconds now) const {
+    double worst = 1.0;
+    for (const auto& [key, s] : series_) {
+      if (key.second != target) continue;
+      const monitor::SloSpec& spec = specs_[key.first];
+      Seconds window = 3600.0;
+      for (const monitor::BurnRule& r : spec.rules) {
+        window = std::max(window, r.window);
+      }
+      std::size_t n = 0, good = 0;
+      for (const Sample& sm : s.samples) {
+        if (sm.t < now - window) continue;
+        ++n;
+        if (sm.good) ++good;
+      }
+      if (n > 0) worst = std::min(worst, double(good) / double(n));
+    }
+    for (const monitor::Alert& a : history_) {
+      if (!a.active() || a.target != target) continue;
+      worst *= a.severity == monitor::Severity::Page ? 0.5 : 0.75;
+    }
+    return std::max(worst, 0.0);
+  }
+
+  std::map<std::string, double> health_scores(Seconds now) const {
+    std::map<std::string, double> out;
+    for (const auto& [key, s] : series_) out[key.second] = 0.0;
+    for (const monitor::Alert& a : history_) {
+      if (a.active()) out[a.target] = 0.0;
+    }
+    for (auto& [target, score] : out) score = health(target, now);
+    return out;
+  }
+
+  std::string summary(Seconds now) const {
+    std::string out;
+    char line[256];
+    std::snprintf(line, sizeof line,
+                  "  %-24s %-24s %6s %6s %10s %10s %10s  %s\n", "slo",
+                  "target", "n", "good%", "p50", "p95", "p99", "state");
+    out += line;
+    for (std::size_t i = 0; i < specs_.size(); ++i) {
+      const monitor::SloSpec& spec = specs_[i];
+      for (const auto& [key, s] : series_) {
+        if (key.first != i) continue;
+        Seconds window = 0.0;
+        for (const monitor::BurnRule& r : spec.rules) {
+          window = std::max(window, r.window);
+        }
+        if (window <= 0.0) window = 3600.0;
+        std::size_t n = 0, good = 0;
+        for (const Sample& sm : s.samples) {
+          if (sm.t < now - window) continue;
+          ++n;
+          if (sm.good) ++good;
+        }
+        const char* state = "ok";
+        if (s.active_alert >= 0) {
+          state = monitor::severity_name(
+              history_[std::size_t(s.active_alert)].severity);
+        }
+        std::snprintf(line, sizeof line,
+                      "  %-24s %-24s %6zu %5.1f%% %10.3g %10.3g %10.3g  %s\n",
+                      spec.name.c_str(), key.second.c_str(), n,
+                      n > 0 ? 100.0 * double(good) / double(n) : 100.0,
+                      s.values->quantile(0.50), s.values->quantile(0.95),
+                      s.values->quantile(0.99), state);
+        out += line;
+      }
+    }
+    return out;
+  }
+
+ private:
+  struct Sample {
+    Seconds t = 0.0;
+    bool good = true;
+    std::string detail;
+  };
+  struct Series {
+    std::deque<Sample> samples;
+    Seconds newest = -1e300;
+    std::unique_ptr<telemetry::Histogram> values;
+    std::int64_t active_alert = -1;
+  };
+  struct Burn {
+    double burn_long = 0.0;
+    double burn_short = 0.0;
+    std::size_t n_long = 0;
+    std::string detail;
+  };
+  using SeriesKey = std::pair<std::size_t, std::string>;
+
+  static bool more_severe(monitor::Severity a, monitor::Severity b) {
+    return a == monitor::Severity::Page && b == monitor::Severity::Ticket;
+  }
+
+  static Burn burn_rates(const Series& s, const monitor::SloSpec& spec,
+                         const monitor::BurnRule& rule, Seconds now) {
+    Burn b;
+    const Seconds long_from = now - rule.window;
+    const Seconds short_from =
+        now - rule.window / monitor::SloEngine::kShortDivisor;
+    std::size_t bad_long = 0, n_short = 0, bad_short = 0;
+    std::map<std::string, std::size_t> bad_details;
+    for (const Sample& sm : s.samples) {
+      if (sm.t < long_from) continue;
+      ++b.n_long;
+      if (!sm.good) {
+        ++bad_long;
+        ++bad_details[sm.detail];
+      }
+      if (sm.t >= short_from) {
+        ++n_short;
+        if (!sm.good) ++bad_short;
+      }
+    }
+    const double budget = std::max(1.0 - spec.target_fraction, 1e-9);
+    if (b.n_long > 0) {
+      b.burn_long = (double(bad_long) / double(b.n_long)) / budget;
+    }
+    if (n_short > 0) {
+      b.burn_short = (double(bad_short) / double(n_short)) / budget;
+    }
+    std::size_t best = 0;
+    for (const auto& [detail, n] : bad_details) {
+      if (n > best) {
+        best = n;
+        b.detail = detail;
+      }
+    }
+    return b;
+  }
+
+  static std::optional<std::pair<monitor::BurnRule, Burn>> firing(
+      const Series& s, const monitor::SloSpec& spec, Seconds now) {
+    std::optional<std::pair<monitor::BurnRule, Burn>> out;
+    for (const monitor::BurnRule& rule : spec.rules) {
+      Burn b = burn_rates(s, spec, rule, now);
+      if (b.n_long < std::max<std::size_t>(spec.min_samples, 1)) continue;
+      if (b.burn_long < rule.burn_threshold) continue;
+      if (b.burn_short < rule.burn_threshold) continue;
+      if (!out || more_severe(rule.severity, out->first.severity)) {
+        out = {rule, b};
+      }
+    }
+    return out;
+  }
+
+  void evaluate(const SeriesKey& key, Seconds now,
+                std::vector<monitor::Alert>* fired) {
+    const monitor::SloSpec& spec = specs_[key.first];
+    Series& s = series_[key];
+    auto f = firing(s, spec, now);
+    if (!f) {
+      if (s.active_alert >= 0) {
+        history_[std::size_t(s.active_alert)].resolved_at = now;
+        s.active_alert = -1;
+      }
+      return;
+    }
+    if (s.active_alert >= 0) {
+      monitor::Alert& cur = history_[std::size_t(s.active_alert)];
+      if (!more_severe(f->first.severity, cur.severity)) return;
+      cur.resolved_at = now;
+      s.active_alert = -1;
+    }
+    monitor::Alert a;
+    a.id = history_.size() + 1;
+    a.slo = spec.name;
+    a.target = key.second;
+    a.stage = spec.stage;
+    a.severity = f->first.severity;
+    a.fired_at = now;
+    a.window = f->first.window;
+    a.burn_long = f->second.burn_long;
+    a.burn_short = f->second.burn_short;
+    a.detail = f->second.detail;
+    s.active_alert = std::int64_t(history_.size());
+    history_.push_back(a);
+    if (fired != nullptr) fired->push_back(a);
+  }
+
+  std::vector<monitor::SloSpec> specs_;
+  std::map<SeriesKey, Series> series_;
+  std::vector<monitor::Alert> history_;
+};
+
+std::vector<std::string> alert_json(const std::vector<monitor::Alert>& as) {
+  std::vector<std::string> out;
+  for (const monitor::Alert& a : as) out.push_back(a.json());
+  return out;
+}
+
+// Random specs and a random stream, the same into both engines. Even seeds
+// stamp whole seconds on a 1, 10 or 60 s grid, so samples sit exactly on
+// window edges; every third seed back-dates some arrivals, a few past the
+// retention horizon.
+// Returns how many alerts the stream fired.
+std::size_t check_against_oracle(std::uint64_t seed) {
+  const char* const kTargets[] = {"alpha", "beta", "gamma"};
+  const char* const kDetails[] = {"", "io_error", "permission_denied",
+                                  "timeout"};
+  const Seconds kWindows[] = {20.0, 60.0, 300.0, 600.0, 3600.0, 5400.0};
+  Rng rng(seed);
+  const double grids[] = {1.0, 10.0, 60.0};
+  const double grid = seed % 2 == 0 ? grids[rng.uniform_int(0, 2)] : 0.0;
+  const bool out_of_order = seed % 3 == 0;
+  monitor::SloEngine engine;
+  LinearScanSlo oracle;
+  const int n_specs = int(rng.uniform_int(1, 3));
+  for (int i = 0; i < n_specs; ++i) {
+    monitor::SloSpec spec;
+    spec.name = "slo" + std::to_string(i);
+    spec.component = "svc";
+    spec.kind = "k" + std::to_string(rng.uniform_int(0, 1));
+    spec.stage = "stage";
+    spec.per_target = rng.bernoulli(0.7);
+    spec.service_target = "all";
+    spec.use_ok_flag = rng.bernoulli(0.5);
+    spec.objective = 10.0;
+    spec.higher_is_better = rng.bernoulli(0.5);
+    const double fractions[] = {0.5, 0.8, 0.9, 0.99};
+    spec.target_fraction = fractions[rng.uniform_int(0, 3)];
+    spec.min_samples = std::size_t(rng.uniform_int(0, 5));
+    const int n_rules = int(rng.uniform_int(0, 3));
+    for (int r = 0; r < n_rules; ++r) {
+      monitor::BurnRule rule;
+      rule.window = kWindows[rng.uniform_int(0, 5)];
+      // Now and then a zero threshold: such a rule fires on any sample.
+      const double thresholds[] = {1.0, 1.5, 2.0, 3.0};
+      rule.burn_threshold =
+          rng.bernoulli(0.05) ? 0.0 : thresholds[rng.uniform_int(0, 3)];
+      rule.severity = rng.bernoulli(0.5) ? monitor::Severity::Page
+                                         : monitor::Severity::Ticket;
+      spec.rules.push_back(rule);
+    }
+    engine.add(spec);
+    oracle.add(spec);
+  }
+
+  // Mean gap between events: from several per short window to one per
+  // long window, so windows hold from a handful to ~100 samples.
+  const double gaps[] = {2.0, 10.0, 40.0};
+  const double gap = gaps[rng.uniform_int(0, 2)];
+  double bad_rate = 0.0;
+  Seconds clock = 1000.0;
+  Seconds newest = 0.0;
+  const int n_events = int(rng.uniform_int(150, 300));
+  auto query = [&](Seconds now) {
+    engine.sweep(now);
+    oracle.sweep(now);
+    for (const char* target : {"alpha", "beta", "gamma", "all", "none"}) {
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(engine.health(target, now)),
+                std::bit_cast<std::uint64_t>(oracle.health(target, now)))
+          << target << " at " << now;
+    }
+    const auto scores = engine.health_scores(now);
+    const auto expected = oracle.health_scores(now);
+    ASSERT_EQ(scores.size(), expected.size());
+    for (const auto& [target, score] : expected) {
+      ASSERT_EQ(scores.count(target), 1u) << target;
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(scores.at(target)),
+                std::bit_cast<std::uint64_t>(score))
+          << target << " at " << now;
+    }
+    EXPECT_EQ(engine.summary(now), oracle.summary(now)) << "at " << now;
+    EXPECT_EQ(alert_json(engine.alerts()), alert_json(oracle.alerts()));
+  };
+  for (int i = 0; i < n_events; ++i) {
+    if (i % 40 == 0) {
+      const double rates[] = {0.0, 0.1, 0.5, 0.9};
+      bad_rate = rates[rng.uniform_int(0, 3)];
+    }
+    if (rng.bernoulli(0.02)) {
+      clock += rng.uniform(5400.0, 12000.0);  // quiet past every window
+    } else if (!rng.bernoulli(0.05)) {        // else an equal timestamp
+      clock += rng.exponential(gap);
+    }
+    Seconds t = clock;
+    if (out_of_order && rng.bernoulli(0.1)) {
+      t -= rng.bernoulli(0.1) ? rng.uniform(3000.0, 7000.0)
+                              : rng.uniform(0.0, 60.0);
+    }
+    if (grid > 0.0) t = grid * double(std::int64_t(t / grid));
+    newest = std::max(newest, t);
+    telemetry::MonitorEvent ev;
+    ev.t = t;
+    ev.component = "svc";
+    ev.kind = "k" + std::to_string(rng.uniform_int(0, 1));
+    ev.target = kTargets[rng.uniform_int(0, 2)];
+    ev.ok = !rng.bernoulli(bad_rate);
+    ev.value = rng.bernoulli(bad_rate) ? 20.0 : 5.0;
+    ev.detail = kDetails[rng.uniform_int(0, 3)];
+    const auto fired = alert_json(engine.ingest(ev));
+    const auto expected = alert_json(oracle.ingest(ev));
+    if (fired != expected) {
+      // The engines have diverged; later events would only repeat it.
+      EXPECT_EQ(fired, expected) << "event " << i << " at " << t;
+      return 0;
+    }
+    if (i % 75 == 74) {
+      // Before, at and after the newest sample.
+      const double back = grid > 0.0
+                              ? grid * double(rng.uniform_int(1, 60))
+                              : rng.uniform(0.0, 700.0);
+      query(newest - back);
+      query(newest);
+      query(newest + back);
+    }
+  }
+  query(newest);
+  query(newest + 4000.0);
+  return engine.alerts().size();
+}
+
+TEST(SloEngineProperty, MatchesLinearScanOracle) {
+  std::size_t seeds_alerting = 0;
+  for (std::uint64_t seed = 1; seed <= 240; ++seed) {
+    SCOPED_TRACE(seed);
+    if (check_against_oracle(seed) > 0) ++seeds_alerting;
+  }
+  // The streams must exercise alerting, not only quiet series.
+  EXPECT_GT(seeds_alerting, 120u);
+}
 
 }  // namespace
 }  // namespace alsflow
