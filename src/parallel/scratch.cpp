@@ -8,7 +8,6 @@ namespace {
 
 thread_local std::vector<std::complex<double>>
     t_complex[WorkerScratch::nComplexSlots];
-thread_local std::vector<float> t_float[WorkerScratch::nFloatSlots];
 thread_local std::vector<double> t_double[WorkerScratch::nDoubleSlots];
 
 template <typename T>
@@ -24,10 +23,6 @@ std::span<std::complex<double>> WorkerScratch::complex_buffer(ComplexSlot slot,
   return grown(t_complex[slot], n);
 }
 
-std::span<float> WorkerScratch::float_buffer(FloatSlot slot, std::size_t n) {
-  return grown(t_float[slot], n);
-}
-
 std::span<double> WorkerScratch::double_buffer(DoubleSlot slot,
                                                std::size_t n) {
   return grown(t_double[slot], n);
@@ -36,7 +31,6 @@ std::span<double> WorkerScratch::double_buffer(DoubleSlot slot,
 std::size_t WorkerScratch::thread_bytes() noexcept {
   std::size_t total = 0;
   for (const auto& b : t_complex) total += b.capacity() * sizeof(b[0]);
-  for (const auto& b : t_float) total += b.capacity() * sizeof(b[0]);
   for (const auto& b : t_double) total += b.capacity() * sizeof(b[0]);
   return total;
 }

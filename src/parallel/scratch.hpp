@@ -11,10 +11,9 @@
 //
 // Safety: a pool worker executes chunks sequentially, so a thread-local
 // buffer can never be live in two chunk bodies at once. Distinct slots keep
-// *nested* kernels on one thread (e.g. the streaming row path calling the
-// projection filter) from aliasing each other's buffers. Buffers are
-// reused, never shrunk, and freed at thread exit; contents on return are
-// unspecified — callers must write before reading.
+// *nested* kernels on one thread from aliasing each other's buffers.
+// Buffers are reused, never shrunk, and freed at thread exit; contents on
+// return are unspecified — callers must write before reading.
 //
 // hotcheck treats WorkerScratch acquisition as the one sanctioned call in
 // a hot lambda that may grow a container (DESIGN.md §16 waiver table).
@@ -37,10 +36,6 @@ class WorkerScratch {
     kGridrecRow,     // gridrec per-angle spectrum row (recon.cpp)
     nComplexSlots,
   };
-  enum FloatSlot : std::size_t {
-    kStreamRow = 0,  // streaming normalize+filter detector row
-    nFloatSlots,
-  };
   enum DoubleSlot : std::size_t {
     kTrigCos = 0,    // fbp_backproject_points per-angle cosines
     kTrigSin,        // ... and sines (projector.cpp)
@@ -51,7 +46,6 @@ class WorkerScratch {
   // returned as a span of exactly n. Contents unspecified.
   static std::span<std::complex<double>> complex_buffer(ComplexSlot slot,
                                                         std::size_t n);
-  static std::span<float> float_buffer(FloatSlot slot, std::size_t n);
   static std::span<double> double_buffer(DoubleSlot slot, std::size_t n);
 
   // Bytes currently retained by this thread's arenas (tests).

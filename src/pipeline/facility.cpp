@@ -1,7 +1,6 @@
 #include "pipeline/facility.hpp"
 
 #include <cassert>
-#include <cstdlib>
 
 #include "common/checksum.hpp"
 #include "common/log.hpp"
@@ -10,21 +9,6 @@ namespace alsflow::pipeline {
 
 using flow::keyed;
 using flow::task_spec;
-
-namespace {
-
-// FacilityConfig::policy resolves through the same names as the fleet's.
-std::unique_ptr<sched::PlacementPolicy> placement_policy(
-    const std::string& name) {
-  auto policy = sched::make_policy(name);
-  if (policy == nullptr) {
-    log_error("facility") << "unknown placement policy '" << name << "'";
-    std::abort();
-  }
-  return policy;
-}
-
-}  // namespace
 
 Facility::Facility(FacilityConfig config)
     : config_(config),
@@ -54,7 +38,7 @@ Facility::Facility(FacilityConfig config)
       cloud_s3_("cloud-s3", storage::Tier::Eagle, 2000 * TiB),
       esnet_cloud_(eng_, "esnet-cloud", gbps(config.esnet_cloud_gbps), 0.04),
       cloud_(eng_, config.compute),
-      policy_(placement_policy(config.policy)),
+      policy_(sched::require_policy(config.policy)),
       scheduler_(eng_, flows_, directory_, *policy_) {
   // Globus routes between every endpoint pair in use.
   globus_.add_route("als-acq", "als-data", &lan_);

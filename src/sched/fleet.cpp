@@ -1,7 +1,10 @@
 #include "sched/fleet.hpp"
 
 #include <cassert>
+#include <cstdlib>
 #include <utility>
+
+#include "common/log.hpp"
 
 namespace alsflow::sched {
 
@@ -19,8 +22,7 @@ Fleet::Shard& Fleet::add_shard(std::string beamline,
   shard->beamline = std::move(beamline);
   shard->db = std::make_unique<flow::RunDatabase>();
   shard->flows = std::make_unique<flow::FlowEngine>(eng_, *shard->db);
-  shard->policy = make_policy(policy_name_);
-  assert(shard->policy != nullptr && "unknown placement policy");
+  shard->policy = require_policy(policy_name_);
   shard->scheduler = std::make_unique<FederatedScheduler>(
       eng_, *shard->flows, dir_, *shard->policy, cfg_);
   if (registrar) registrar(shard->beamline, *shard->flows);
@@ -38,7 +40,11 @@ Fleet::Shard* Fleet::shard(const std::string& beamline) {
 sim::Future<ScanResult> Fleet::submit(const std::string& beamline,
                                       ScanRequest scan) {
   Shard* s = shard(beamline);
-  assert(s != nullptr && "submit to unknown beamline shard");
+  if (s == nullptr) {
+    log_error("sched") << "submit to unknown beamline shard '" << beamline
+                       << "'";
+    std::abort();
+  }
   return s->scheduler->submit(std::move(scan));
 }
 

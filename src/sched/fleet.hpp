@@ -54,8 +54,8 @@ class Fleet {
   Fleet(sim::Engine& eng, FacilityDirectory& directory,
         std::string policy_name, SchedulerConfig cfg = {});
 
-  // Create a shard and register its flows. Aborts (assert) on duplicate
-  // beamline names or unknown policy names.
+  // Create a shard and register its flows. Asserts on duplicate beamline
+  // names; aborts with a log line on an unknown policy name in every build.
   Shard& add_shard(std::string beamline, const FlowRegistrar& registrar);
 
   Shard* shard(const std::string& beamline);
@@ -64,7 +64,8 @@ class Fleet {
   }
   std::size_t size() const { return shards_.size(); }
 
-  // Submit a scan on its beamline's shard.
+  // Submit a scan on its beamline's shard. Aborts with a log line, in every
+  // build, when no shard has that name.
   sim::Future<ScanResult> submit(const std::string& beamline,
                                  ScanRequest scan);
 

@@ -2,6 +2,9 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <cstdlib>
+
+#include "common/log.hpp"
 
 namespace alsflow::sched {
 
@@ -148,6 +151,15 @@ std::unique_ptr<PlacementPolicy> make_policy(const std::string& name) {
   if (name == "greedy") return std::make_unique<GreedyPolicy>();
   if (name == "hedged") return std::make_unique<HedgedPolicy>();
   return nullptr;
+}
+
+std::unique_ptr<PlacementPolicy> require_policy(const std::string& name) {
+  auto policy = make_policy(name);
+  if (policy == nullptr) {
+    log_error("sched") << "unknown placement policy '" << name << "'";
+    std::abort();
+  }
+  return policy;
 }
 
 }  // namespace alsflow::sched

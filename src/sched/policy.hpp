@@ -144,4 +144,8 @@ class HedgedPolicy : public PlacementPolicy {
 // shard-local.
 std::unique_ptr<PlacementPolicy> make_policy(const std::string& name);
 
+// make_policy for a configured name: logs "unknown placement policy
+// '<name>'" and aborts, in every build type, when the name is unknown.
+std::unique_ptr<PlacementPolicy> require_policy(const std::string& name);
+
 }  // namespace alsflow::sched

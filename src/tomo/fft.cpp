@@ -140,9 +140,16 @@ void fft(std::vector<cplx>& a, bool inverse) {
 }
 
 void fft2(std::vector<cplx>& a, std::size_t ny, std::size_t nx, bool inverse) {
+  fft2_window(a, ny, nx, 0, nx, inverse);
+}
+
+void fft2_window(std::vector<cplx>& a, std::size_t ny, std::size_t nx,
+                 std::size_t x0, std::size_t width, bool inverse) {
   if (!is_pow2(ny)) throw_bad_size("fft2 ny", ny);
   if (!is_pow2(nx)) throw_bad_size("fft2 nx", nx);
   if (a.size() != ny * nx) throw_bad_buffer("fft2 buffer size", a.size(), ny * nx);
+  x0 &= nx - 1;
+  width = std::min(width, nx);
   const bool parallel = ny * nx >= kParallelFft2Threshold;
   // Both tables are built here, before the fan-out, so the chunk bodies
   // below never allocate.
@@ -164,17 +171,25 @@ void fft2(std::vector<cplx>& a, std::size_t ny, std::size_t nx, bool inverse) {
   // Columns: gathered a block at a time into a worker-local scratch block.
   // The buffer is acquired before the hot region opens, so steady-state
   // chunks run allocation-free; the serial path shares the same body,
-  // keeping the output byte-identical to the parallel one.
-  auto col_pass = [&](std::size_t x0, std::size_t x1) {
+  // keeping the output byte-identical to the parallel one. Window
+  // positions [j0, j1) are columns x0 + j, which wrap past nx - 1 at most
+  // once: one run up to nx and one from column 0.
+  auto col_pass = [&](std::size_t j0, std::size_t j1) {
     auto block = parallel::WorkerScratch::complex_buffer(
         parallel::WorkerScratch::kFft2Col, ny * FftTable::kColumnBlock);
     hotguard::HotRegion region("fft2.col");
-    col_table.transform_columns(a, nx, x0, x1, block, inverse);
+    const std::size_t b = x0 + j0, e = x0 + j1;
+    col_table.transform_columns(a, nx, std::min(b, nx), std::min(e, nx), block,
+                                inverse);
+    if (e > nx) {
+      col_table.transform_columns(a, nx, std::max(b, nx) - nx, e - nx, block,
+                                  inverse);
+    }
   };
   if (parallel) {
-    parallel::parallel_for_chunks(0, nx, col_pass);
+    parallel::parallel_for_chunks(0, width, col_pass);
   } else {
-    col_pass(0, nx);
+    col_pass(0, width);
   }
 }
 

@@ -73,4 +73,13 @@ void fft(std::vector<std::complex<double>>& a, bool inverse);
 void fft2(std::vector<std::complex<double>>& a, std::size_t ny, std::size_t nx,
           bool inverse);
 
+// fft2 with the column pass cut to a window: every row is transformed, then
+// only the `width` columns starting at column x0 and wrapping from nx - 1 to
+// 0. Each kept column is byte-identical to fft2's; the other columns hold
+// the row pass's output. x0 is taken modulo nx; a width of nx or more
+// keeps every column (this is fft2). Throws like fft2.
+void fft2_window(std::vector<std::complex<double>>& a, std::size_t ny,
+                 std::size_t nx, std::size_t x0, std::size_t width,
+                 bool inverse);
+
 }  // namespace alsflow::tomo

@@ -99,32 +99,55 @@ void ProjectionFilter::apply_with_scratch(
 ALSFLOW_HOT void ProjectionFilter::apply_span(
     std::span<const float> in, std::span<float> out,
     std::span<std::complex<double>> scratch) const {
-  assert(in.size() == n_det_ && out.size() == n_det_);
+  apply_pair(in, {}, out, {}, scratch);
+}
+
+ALSFLOW_HOT void ProjectionFilter::apply_pair(
+    std::span<const float> in_a, std::span<const float> in_b,
+    std::span<float> out_a, std::span<float> out_b,
+    std::span<std::complex<double>> scratch) const {
+  assert(in_a.size() == n_det_ && out_a.size() == n_det_);
+  assert(in_b.size() == out_b.size() &&
+         (in_b.empty() || in_b.size() == n_det_));
   assert(scratch.size() == n_pad_);
   if (kind_ == FilterKind::None) {
-    if (out.data() != in.data()) std::copy(in.begin(), in.end(), out.begin());
+    if (out_a.data() != in_a.data()) {
+      std::copy(in_a.begin(), in_a.end(), out_a.begin());
+    }
+    if (out_b.data() != in_b.data()) {
+      std::copy(in_b.begin(), in_b.end(), out_b.begin());
+    }
     return;
   }
   std::fill(scratch.begin(), scratch.end(), std::complex<double>(0.0, 0.0));
-  for (std::size_t i = 0; i < n_det_; ++i) scratch[i] = double(in[i]);
+  for (std::size_t i = 0; i < n_det_; ++i) {
+    scratch[i] = {double(in_a[i]), in_b.empty() ? 0.0 : double(in_b[i])};
+  }
   table_.transform(scratch, false);
   for (std::size_t k = 0; k < n_pad_; ++k) scratch[k] *= response_[k];
   table_.transform(scratch, true);
-  for (std::size_t i = 0; i < n_det_; ++i) out[i] = float(scratch[i].real());
+  for (std::size_t i = 0; i < n_det_; ++i) out_a[i] = float(scratch[i].real());
+  for (std::size_t i = 0; i < out_b.size(); ++i) {
+    out_b[i] = float(scratch[i].imag());
+  }
 }
 
 void ProjectionFilter::apply_rows(Image& sinogram) const {
   assert(sinogram.nx() == n_det_);
-  // Rows are independent; each worker reuses one padded FFT buffer from its
-  // scratch arena, acquired before the hot region opens.
+  // Rows 2j and 2j + 1 share one FFT (an odd last row runs alone); each
+  // worker reuses one padded FFT buffer from its scratch arena, acquired
+  // before the hot region opens.
+  const std::size_t n_rows = sinogram.ny();
   parallel::parallel_for_chunks(
-      0, sinogram.ny(), [&](std::size_t a0, std::size_t a1) {
+      0, (n_rows + 1) / 2, [&](std::size_t j0, std::size_t j1) {
         auto scratch = parallel::WorkerScratch::complex_buffer(
             parallel::WorkerScratch::kFilterPad, n_pad_);
         hotguard::HotRegion region("filter.apply_rows");
-        for (std::size_t a = a0; a < a1; ++a) {
-          auto row = sinogram.row(a);
-          apply_span(row, row, scratch);
+        for (std::size_t j = j0; j < j1; ++j) {
+          auto a = sinogram.row(2 * j);
+          auto b = 2 * j + 1 < n_rows ? sinogram.row(2 * j + 1)
+                                      : std::span<float>();
+          apply_pair(a, b, a, b, scratch);
         }
       });
 }

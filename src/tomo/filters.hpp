@@ -53,10 +53,20 @@ class ProjectionFilter {
   // Core of the other two forms: filter with a pre-sized buffer of exactly
   // n_pad() elements (contents overwritten). Never allocates — this is the
   // form hot regions call, with scratch from parallel::WorkerScratch.
+  // apply_pair with no second row.
   void apply_span(std::span<const float> in, std::span<float> out,
                   std::span<std::complex<double>> scratch) const;
 
-  // Filter every row of a sinogram in place (rows run on the thread pool).
+  // Filter rows a and b through one complex FFT of a + i b: the response is
+  // real and even, so the real part of the result is filtered a and the
+  // imaginary part filtered b. Either output may alias its input; empty
+  // in_b and out_b filter a alone. Same scratch contract as apply_span.
+  void apply_pair(std::span<const float> in_a, std::span<const float> in_b,
+                  std::span<float> out_a, std::span<float> out_b,
+                  std::span<std::complex<double>> scratch) const;
+
+  // Filter every row of a sinogram in place, two rows per FFT (pairs run
+  // on the thread pool).
   void apply_rows(Image& sinogram) const;
 
  private:

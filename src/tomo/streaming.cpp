@@ -36,15 +36,13 @@ void StreamingReconstructor::on_frame(std::size_t angle_index,
   assert(!config_.normalize || have_reference_);
 
   // Normalize + filter every detector row now, overlapping acquisition.
-  // Both scratch buffers come from the worker arena, acquired before the
+  // Each row is normalized straight into its sinogram, then rows z and
+  // z + 1 are filtered in place through one FFT (an odd last row runs
+  // alone). The FFT buffer comes from the worker arena, acquired before the
   // hot region opens: the per-frame path is allocation-free.
-  const std::size_t n_det = config_.geo.n_det;
-  parallel::parallel_for(0, config_.n_rows, [&](std::size_t z) {
-    auto row = parallel::WorkerScratch::float_buffer(
-        parallel::WorkerScratch::kStreamRow, n_det);
-    auto pad = parallel::WorkerScratch::complex_buffer(
-        parallel::WorkerScratch::kFilterPad, filter_.n_pad());
-    hotguard::HotRegion region("streaming.on_frame");
+  const std::size_t n_rows = config_.n_rows;
+  const auto load_row = [&](std::size_t z) {
+    auto row = sinos_[z].row(angle_index);
     auto src = frame.row(z);
     std::copy(src.begin(), src.end(), row.begin());
     if (config_.normalize) {
@@ -56,7 +54,16 @@ void StreamingReconstructor::on_frame(std::size_t angle_index,
         row[t] = -std::log(trans);
       }
     }
-    filter_.apply_span(row, sinos_[z].row(angle_index), pad);
+    return row;
+  };
+  parallel::parallel_for(0, (n_rows + 1) / 2, [&](std::size_t j) {
+    auto pad = parallel::WorkerScratch::complex_buffer(
+        parallel::WorkerScratch::kFilterPad, filter_.n_pad());
+    hotguard::HotRegion region("streaming.on_frame");
+    const auto a = load_row(2 * j);
+    const auto b =
+        2 * j + 1 < n_rows ? load_row(2 * j + 1) : std::span<float>();
+    filter_.apply_pair(a, b, a, b, pad);
   });
 
   if (!seen_[angle_index]) {

@@ -116,9 +116,6 @@ TEST_F(HotGuardTest, WorkerScratchReturnsExactSpanAndReuses) {
       parallel::WorkerScratch::kFilterPad, 64);
   EXPECT_NE(pad.data(), s3.data());
 
-  auto f = parallel::WorkerScratch::float_buffer(
-      parallel::WorkerScratch::kStreamRow, 33);
-  EXPECT_EQ(f.size(), 33u);
   auto d = parallel::WorkerScratch::double_buffer(
       parallel::WorkerScratch::kTrigCos, 17);
   EXPECT_EQ(d.size(), 17u);
@@ -241,12 +238,17 @@ TEST_F(HotGuardTest, HoistedKernelsRunAllocationFreeInSteadyState) {
   const tomo::Image phantom = tomo::shepp_logan(kN);
   const tomo::Image sino = tomo::forward_project(phantom, geo);
 
+  // Detector rows are filtered two per FFT; an odd count runs a lone row
+  // too.
   tomo::StreamingConfig scfg;
   scfg.geo = geo;
-  scfg.n_rows = 4;
+  scfg.n_rows = 5;
   scfg.normalize = false;
   tomo::StreamingReconstructor streamer(scfg);
   tomo::Image frame(scfg.n_rows, geo.n_det, 0.25f);
+  // Gridrec volumes run slices in pairs: three slices run a pair and a
+  // lone slice.
+  const std::vector<tomo::Image> sinos(3, sino);
 
   const auto run_all = [&] {
     tomo::ReconOptions opts;
@@ -259,6 +261,8 @@ TEST_F(HotGuardTest, HoistedKernelsRunAllocationFreeInSteadyState) {
     tomo::reconstruct_slice(sino, geo, kN, opts);
     opts.algorithm = tomo::Algorithm::MLEM;
     tomo::reconstruct_slice(sino, geo, kN, opts);
+    opts.algorithm = tomo::Algorithm::Gridrec;
+    tomo::reconstruct_volume(sinos, geo, kN, opts);
     std::vector<std::complex<double>> buf(128 * 128, {1.0, 0.0});
     tomo::fft2(buf, 128, 128, false);
     for (std::size_t a = 0; a < geo.n_angles; ++a) {

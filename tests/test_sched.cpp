@@ -419,6 +419,27 @@ TEST(FacilityPolicy, UnknownPolicyNameAbortsInEveryBuild) {
                "unknown placement policy 'oracle'");
 }
 
+// Fleet names come from configs, so a bad one must stop the run in every
+// build type, not only where asserts are compiled in.
+TEST(FleetPolicy, UnknownPolicyNameAbortsInEveryBuild) {
+  testing::FLAGS_gtest_death_test_style = "threadsafe";
+  sim::Engine eng;
+  FacilityDirectory dir;
+  Fleet fleet(eng, dir, "oracle");
+  EXPECT_DEATH(fleet.add_shard("bl-0", nullptr),
+               "unknown placement policy 'oracle'");
+}
+
+TEST(FleetPolicy, UnknownBeamlineAbortsInEveryBuild) {
+  testing::FLAGS_gtest_death_test_style = "threadsafe";
+  sim::Engine eng;
+  FacilityDirectory dir;
+  Fleet fleet(eng, dir, "greedy");
+  fleet.add_shard("bl-0", nullptr);
+  EXPECT_DEATH(fleet.submit("bl-9", small_request()),
+               "unknown beamline shard 'bl-9'");
+}
+
 // ---------------------------------------------------------------------------
 // Fleet campaigns
 // ---------------------------------------------------------------------------
