@@ -17,6 +17,7 @@
 
 #include "chaos/chaos_engine.hpp"
 #include "chaos/scenario.hpp"
+#include "common/stats.hpp"
 #include "pipeline/facility.hpp"
 
 using namespace alsflow;
@@ -59,10 +60,9 @@ struct CampaignResult {
     return s / double(scan_latencies.size());
   }
   double p95_latency() const {
-    if (scan_latencies.empty()) return 0.0;
     std::vector<double> xs = scan_latencies;
     std::sort(xs.begin(), xs.end());
-    return xs[std::size_t(0.95 * double(xs.size() - 1))];
+    return percentile_sorted(xs, 0.95);
   }
 };
 
@@ -73,16 +73,7 @@ CampaignResult run_campaign(const Scenario* scenario) {
   pipeline::Facility fac(cfg);
 
   chaos::ChaosEngine chaos_eng(fac.engine());
-  chaos_eng.bind_link(&fac.lan());
-  chaos_eng.bind_link(&fac.esnet_nersc());
-  chaos_eng.bind_link(&fac.esnet_alcf());
-  chaos_eng.bind_adapter(&fac.nersc_adapter());
-  chaos_eng.bind_adapter(&fac.alcf_adapter());
-  chaos_eng.bind_transfer(&fac.globus());
-  chaos_eng.bind_endpoint(&fac.cfs());
-  chaos_eng.bind_endpoint(&fac.eagle());
-  chaos_eng.bind_flow_engine(&fac.flows());
-  chaos_eng.bind_run_db(&fac.run_db());
+  fac.bind_chaos(chaos_eng);
   if (scenario != nullptr) chaos_eng.arm(*scenario);
 
   std::vector<sim::Future<pipeline::ScanOutcome>> futs;

@@ -20,6 +20,7 @@
 #include <vector>
 
 #include "access/tiled.hpp"
+#include "common/stats.hpp"
 #include "data/multiscale.hpp"
 #include "serve/frontend.hpp"
 #include "tomo/phantom.hpp"
@@ -32,13 +33,6 @@ double now_s() {
   return std::chrono::duration<double>(
              std::chrono::steady_clock::now().time_since_epoch())
       .count();
-}
-
-double percentile(std::vector<double> xs, double p) {
-  if (xs.empty()) return 0.0;
-  std::sort(xs.begin(), xs.end());
-  const auto idx = std::size_t(p * double(xs.size() - 1));
-  return xs[idx];
 }
 
 serve::SliceRequest req(const std::string& tenant, std::size_t index,
@@ -83,8 +77,10 @@ int main() {
       auto r = fe.get(req("viewer", i));
       if (r.ok()) hot.push_back(now_s() - t0);
     }
-    cold_p50 = percentile(cold, 0.5);
-    hot_p50 = percentile(hot, 0.5);
+    std::sort(cold.begin(), cold.end());
+    std::sort(hot.begin(), hot.end());
+    cold_p50 = percentile_sorted(cold, 0.5);
+    hot_p50 = percentile_sorted(hot, 0.5);
     const auto cs = fe.cache_stats();
     std::printf("cold p50 %8.1f us   hot p50 %8.1f us   speedup %6.1fx"
                 "   (hits %zu / misses %zu)   %s\n",
@@ -170,8 +166,9 @@ int main() {
     served = st.served;
     shed = st.shed + st.rejected + st.deadline_shed;
     max_depth = st.max_queue_depth;
-    p50_wait = percentile(waits, 0.5);
-    p99_wait = percentile(waits, 0.99);
+    std::sort(waits.begin(), waits.end());
+    p50_wait = percentile_sorted(waits, 0.5);
+    p99_wait = percentile_sorted(waits, 0.99);
     std::printf("overload: offered %zu, served %zu, shed %zu, "
                 "max depth %zu/%zu\n",
                 kClients * kPerClient, served, shed, max_depth,

@@ -18,6 +18,7 @@
 #include <vector>
 
 #include "access/tiled.hpp"
+#include "common/stats.hpp"
 #include "common/telemetry.hpp"
 #include "data/multiscale.hpp"
 #include "parallel/thread_pool.hpp"
@@ -34,12 +35,6 @@ struct TenantOutcome {
   std::size_t failed = 0;
   std::vector<double> latency;
 };
-
-double percentile(std::vector<double> xs, double p) {
-  if (xs.empty()) return 0.0;
-  std::sort(xs.begin(), xs.end());
-  return xs[std::size_t(p * double(xs.size() - 1))];
-}
 
 }  // namespace
 
@@ -124,10 +119,11 @@ int main() {
 
   std::printf("%-10s %8s %8s %12s %12s\n", "tenant", "served", "failed",
               "p50 (ms)", "p99 (ms)");
-  for (const auto* t : {&beamline, &remote, &exporte}) {
+  for (auto* t : {&beamline, &remote, &exporte}) {
+    std::sort(t->latency.begin(), t->latency.end());
     std::printf("%-10s %8zu %8zu %12.3f %12.3f\n", t->name.c_str(), t->served,
-                t->failed, percentile(t->latency, 0.5) * 1e3,
-                percentile(t->latency, 0.99) * 1e3);
+                t->failed, percentile_sorted(t->latency, 0.5) * 1e3,
+                percentile_sorted(t->latency, 0.99) * 1e3);
   }
 
   const auto cs = frontend.cache_stats();

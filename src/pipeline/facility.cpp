@@ -1,7 +1,9 @@
 #include "pipeline/facility.hpp"
 
 #include <cassert>
+#include <initializer_list>
 
+#include "chaos/chaos_engine.hpp"
 #include "common/checksum.hpp"
 #include "common/log.hpp"
 
@@ -442,6 +444,24 @@ void Facility::arm_background_arrival(Seconds until) {
     perlmutter_.submit(job);
     arm_background_arrival(until);
   });
+}
+
+void Facility::bind_chaos(chaos::ChaosEngine& chaos) {
+  for (net::Link* link : {&lan_, &esnet_nersc_, &esnet_alcf_, &esnet_cloud_}) {
+    chaos.bind_link(link);
+  }
+  for (hpc::ComputeAdapter* adapter :
+       std::initializer_list<hpc::ComputeAdapter*>{&nersc_, &alcf_, &cloud_,
+                                                   &workstation_}) {
+    chaos.bind_adapter(adapter);
+  }
+  chaos.bind_transfer(&globus_);
+  for (storage::StorageEndpoint* ep : {&acq_server_, &beamline_data_, &cfs_,
+                                       &eagle_, &hpss_, &cloud_s3_}) {
+    chaos.bind_endpoint(ep);
+  }
+  chaos.bind_flow_engine(&flows_);
+  chaos.bind_run_db(&db_);
 }
 
 void Facility::start_background_load(Seconds duration) {

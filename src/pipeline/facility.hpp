@@ -44,6 +44,10 @@
 #include "storage/retention.hpp"
 #include "transfer/transfer_service.hpp"
 
+namespace alsflow::chaos {
+class ChaosEngine;
+}  // namespace alsflow::chaos
+
 namespace alsflow::pipeline {
 
 struct FacilityConfig {
@@ -133,6 +137,11 @@ class Facility {
   net::Link& lan() { return lan_; }
   sched::FacilityDirectory& directory() { return directory_; }
   sched::FederatedScheduler& scheduler() { return scheduler_; }
+
+  // Bind every named component (links, compute adapters, the transfer
+  // service, storage endpoints, the flow engine and its run database) to
+  // `chaos`, so a scenario can target any of them by name.
+  void bind_chaos(chaos::ChaosEngine& chaos);
 
   // Generate non-beamline Perlmutter load for `duration` (call once,
   // before driving scans, to model realistic realtime queue waits).

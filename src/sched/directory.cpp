@@ -1,12 +1,18 @@
 #include "sched/directory.hpp"
 
-#include <cassert>
+#include <cstdlib>
+
+#include "common/log.hpp"
 
 namespace alsflow::sched {
 
 void FacilityDirectory::add(FacilityInfo info) {
-  assert(info.adapter != nullptr && "directory entries need an adapter");
-  assert(!has(info.name) && "facility registered twice");
+  if (info.adapter == nullptr || has(info.name)) {
+    log_error("sched") << "facility '" << info.name << "' "
+                       << (info.adapter == nullptr ? "has no adapter"
+                                                   : "registered twice");
+    std::abort();
+  }
   inflight_.emplace(info.name, 0);
   infos_.push_back(std::move(info));
 }

@@ -62,6 +62,8 @@ struct FacilityState {
 
 class FacilityDirectory {
  public:
+  // Aborts with a log line, in every build, on a duplicate name or a null
+  // adapter.
   void add(FacilityInfo info);
 
   const std::vector<FacilityInfo>& facilities() const { return infos_; }

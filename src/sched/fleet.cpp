@@ -1,6 +1,5 @@
 #include "sched/fleet.hpp"
 
-#include <cassert>
 #include <cstdlib>
 #include <utility>
 
@@ -17,7 +16,10 @@ Fleet::Fleet(sim::Engine& eng, FacilityDirectory& directory,
 
 Fleet::Shard& Fleet::add_shard(std::string beamline,
                                const FlowRegistrar& registrar) {
-  assert(by_name_.count(beamline) == 0 && "beamline shard added twice");
+  if (by_name_.count(beamline) != 0) {
+    log_error("sched") << "beamline shard '" << beamline << "' added twice";
+    std::abort();
+  }
   auto shard = std::make_unique<Shard>();
   shard->beamline = std::move(beamline);
   shard->db = std::make_unique<flow::RunDatabase>();

@@ -54,8 +54,8 @@ class Fleet {
   Fleet(sim::Engine& eng, FacilityDirectory& directory,
         std::string policy_name, SchedulerConfig cfg = {});
 
-  // Create a shard and register its flows. Asserts on duplicate beamline
-  // names; aborts with a log line on an unknown policy name in every build.
+  // Create a shard and register its flows. Aborts with a log line, in
+  // every build, on a duplicate beamline name or an unknown policy name.
   Shard& add_shard(std::string beamline, const FlowRegistrar& registrar);
 
   Shard* shard(const std::string& beamline);

@@ -48,8 +48,9 @@ struct ScanRequest {
 
 struct Placement {
   std::string primary;        // "" = nothing placeable right now
-  // Sites launched alongside the primary (a replicated placement). The
-  // scheduler awaits every run and never hedges, fails over or re-places.
+  // Sites that also reconstruct the scan (a replicated placement). Each
+  // site gets its own attempt loop: a failed run is relaunched there and
+  // nowhere else.
   std::vector<std::string> replicas;
   std::string hedge;          // optional backup facility
   Seconds hedge_delay = 0.0;  // launch the hedge this long after primary

@@ -1,5 +1,6 @@
 #include "sched/scheduler.hpp"
 
+#include <iterator>
 #include <memory>
 #include <set>
 #include <utility>
@@ -10,33 +11,33 @@ namespace {
 
 // Race any number of flow-run states against a timer. Resolves with the
 // index of the first state to become ready, or -1 if `window` elapses
-// first (the runs keep going either way — the caller owns their futures).
+// first (the runs keep going either way — the caller owns their futures,
+// and `racing`, which it leaves untouched until the race resolves).
 //
-// Unlike sim::with_timeout this races N states, so the one-shot trigger
-// needs an explicit fired-guard: two states resolving in the same event
-// cascade would otherwise both call trigger() and trip the
+// Unlike sim::with_timeout this races N states, so every callback checks
+// that the one-shot event has not fired yet: two states resolving in the
+// same event cascade would otherwise both call trigger() and trip the
 // resolved-twice assert.
 using RunState_ = std::shared_ptr<sim::SharedState<flow::FlowRunResult>>;
 
-sim::Future<int> await_any_impl(sim::Engine* eng, std::vector<RunState_> states,
-                                Seconds window) {
+sim::Future<int> await_any(sim::Engine* eng,
+                           const std::vector<RunState_>* racing,
+                           Seconds window) {
+  const std::vector<RunState_>& states = *racing;
   for (std::size_t i = 0; i < states.size(); ++i) {
     if (states[i]->ready()) co_return int(i);
   }
   sim::Event<int> ev;
-  auto fired = std::make_shared<bool>(false);
   std::vector<std::uint64_t> tokens(states.size(), 0);
   for (std::size_t i = 0; i < states.size(); ++i) {
-    tokens[i] = states[i]->add_callback([fired, ev, i] {
-      if (*fired) return;
-      *fired = true;
+    tokens[i] = states[i]->add_callback([ev, i] {
+      if (ev.triggered()) return;
       sim::Event<int> e = ev;  // shared state; trigger resumes the racer
       e.trigger(int(i));
     });
   }
-  sim::EventId timer = eng->schedule_in(window, [fired, ev] {
-    if (*fired) return;
-    *fired = true;
+  sim::EventId timer = eng->schedule_in(window, [ev] {
+    if (ev.triggered()) return;
     sim::Event<int> e = ev;
     e.trigger(-1);
   });
@@ -47,12 +48,6 @@ sim::Future<int> await_any_impl(sim::Engine* eng, std::vector<RunState_> states,
     states[i]->remove_callback(tokens[i]);
   }
   co_return winner;
-}
-
-inline sim::Future<int> await_any(sim::Engine* eng,
-                                  std::vector<RunState_> states,
-                                  Seconds window) {
-  return await_any_impl(eng, std::move(states), window);
 }
 
 }  // namespace
@@ -80,11 +75,15 @@ sim::Future<flow::FlowRunResult> FederatedScheduler::launch(
   return fut;
 }
 
-sim::Future<ScanResult> FederatedScheduler::submit_impl(ScanRequest scan) {
-  ++submitted_;
+sim::Future<ScanResult> FederatedScheduler::submit_impl(ScanRequest scan,
+                                                        std::string site) {
+  const bool is_replica = !site.empty();  // its scan does the accounting
   ScanResult res;
   res.scan_id = scan.scan_id;
   res.submitted_at = eng_.now();
+  // A replicated placement's other sites, each running this loop pinned
+  // to it while this one pins itself to the primary.
+  std::vector<sim::Future<ScanResult>> replicas;
 
   // Attempts still racing: parallel arrays into res.attempts.
   std::vector<RunState_> states;
@@ -110,18 +109,6 @@ sim::Future<ScanResult> FederatedScheduler::submit_impl(ScanRequest scan) {
     tried.insert(facility);
     ++launches;
   };
-  // Record how attempt `k` ended. The finish time comes from the run's
-  // record: replicas are awaited in launch order, so one that finished
-  // early is only seen once the runs before it are done.
-  auto settle = [&](std::size_t k, const flow::FlowRunResult& r) {
-    AttemptRecord& a = res.attempts[k];
-    const flow::FlowRunRecord* rec = flows_.db().run(r.run_id);
-    a.finished_at = rec != nullptr ? rec->finished_at : eng_.now();
-    a.result = r.state == flow::RunState::Completed
-                   ? std::string("completed")
-                   : "failed:" + (r.status.ok() ? std::string("unknown")
-                                                : r.status.error().code);
-  };
 
   while (true) {
     if (eng_.now() - res.submitted_at > cfg_.give_up_after) break;  // lost
@@ -130,41 +117,23 @@ sim::Future<ScanResult> FederatedScheduler::submit_impl(ScanRequest scan) {
       // PLACE: nothing racing — initial placement, or every launched
       // attempt failed terminally.
       if (launches >= cfg_.max_attempts) break;  // budget exhausted: lost
-      Placement p = policy_.place(scan, dir_.snapshot(eng_.now()));
+      Placement p;
+      p.primary = site;  // a pinned loop re-places only at its own site
+      if (site.empty()) p = policy_.place(scan, dir_.snapshot(eng_.now()));
       if (p.primary.empty()) {
         // Everything dark: back off and re-decide (outages end).
         co_await sim::delay(eng_, cfg_.placement_backoff);
         continue;
       }
       if (res.reason.empty()) res.reason = p.reason;
-      if (!p.replicas.empty()) {
-        // Replicated placement: launch every site, then await the runs in
-        // launch order (no timers, so no extra engine events). The scan
-        // completes only if every run completed; nothing is hedged,
-        // failed over or re-placed.
-        start(p.primary, /*is_hedge=*/false, /*is_failover=*/false);
-        for (const std::string& site : p.replicas) {
-          start(site, /*is_hedge=*/false, /*is_failover=*/false);
-        }
-        res.completed = true;
-        for (std::size_t k = 0; k < states.size(); ++k) {
-          // A named future, not a braced awaiter temporary (DESIGN.md §7).
-          const sim::Future<flow::FlowRunResult> run(states[k]);
-          const flow::FlowRunResult r = co_await run;
-          settle(attempt_of[k], r);
-          res.completed =
-              res.completed && r.state == flow::RunState::Completed;
-        }
-        if (res.completed) {
-          res.facility = p.primary;
-          res.flow_run_id = states.front()->value().run_id;
-        }
-        break;
-      }
       start(p.primary, /*is_hedge=*/false, /*is_failover=*/launches > 0);
       if (launches > 1) {
         ++failovers_;
         res.failed_over = true;
+      }
+      for (const std::string& other : p.replicas) {
+        replicas.push_back(submit_impl(scan, other));
+        site = p.primary;  // ...and this loop becomes the primary's
       }
       if (!p.hedge.empty() && scan.deadline > 0.0) {
         hedge_armed = true;
@@ -176,7 +145,7 @@ sim::Future<ScanResult> FederatedScheduler::submit_impl(ScanRequest scan) {
 
     // RACE the outstanding attempts against the active window.
     const Seconds window = hedge_armed ? hedge_delay : cfg_.failover_timeout;
-    int winner = co_await await_any(&eng_, states, window);
+    int winner = co_await await_any(&eng_, &states, window);
 
     if (winner < 0) {
       // Window expired with everything still in flight.
@@ -192,8 +161,9 @@ sim::Future<ScanResult> FederatedScheduler::submit_impl(ScanRequest scan) {
       // Failover: the primary has gone dark mid-run (outage = queue wait,
       // so no failure will ever arrive). Drain to the best *untried*
       // reachable site and keep racing the stalled attempt; resubmission
-      // is safe because facility flows carry idempotency keys.
-      if (launches >= cfg_.max_attempts) continue;  // budget gone: wait on
+      // is safe because facility flows carry idempotency keys. A spent
+      // budget, or a loop pinned to its site, just waits on.
+      if (launches >= cfg_.max_attempts || !site.empty()) continue;
       auto snap = dir_.snapshot(eng_.now());
       std::vector<FacilityState> untried;
       for (auto& f : snap) {
@@ -220,11 +190,15 @@ sim::Future<ScanResult> FederatedScheduler::submit_impl(ScanRequest scan) {
 
     // An attempt resolved.
     const flow::FlowRunResult& r = states[std::size_t(winner)]->value();
-    const std::size_t k = attempt_of[std::size_t(winner)];
-    settle(k, r);
+    AttemptRecord& a = res.attempts[attempt_of[std::size_t(winner)]];
+    a.finished_at = eng_.now();
+    a.result = r.state == flow::RunState::Completed
+                   ? std::string("completed")
+                   : "failed:" + (r.status.ok() ? std::string("unknown")
+                                                : r.status.error().code);
     if (r.state == flow::RunState::Completed) {
       res.completed = true;
-      res.facility = res.attempts[k].facility;
+      res.facility = a.facility;
       res.flow_run_id = r.run_id;
       break;
     }
@@ -232,7 +206,21 @@ sim::Future<ScanResult> FederatedScheduler::submit_impl(ScanRequest scan) {
     attempt_of.erase(attempt_of.begin() + winner);
   }
 
+  // A replicated scan completes only if every site's loop completed.
+  for (const sim::Future<ScanResult>& other : replicas) {
+    ScanResult r = co_await other;
+    res.attempts.insert(res.attempts.end(),
+                        std::make_move_iterator(r.attempts.begin()),
+                        std::make_move_iterator(r.attempts.end()));
+    res.completed = res.completed && r.completed;
+    res.failed_over = res.failed_over || r.failed_over;
+  }
+  if (!res.completed) {
+    res.facility.clear();  // a lost scan has no winning run
+    res.flow_run_id.clear();
+  }
   res.finished_at = eng_.now();
+  if (is_replica) co_return res;
   if (res.completed) {
     ++completed_;
   } else {

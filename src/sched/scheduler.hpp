@@ -33,8 +33,10 @@
 // reach that state (the resilience suite pins zero lost scans).
 //
 // A replicated placement (Placement::replicas, the static_dual policy)
-// skips the state machine: PLACE launches every site, then the scan
-// awaits each run in launch order and completes only if all completed.
+// runs the state machine once per site, pinned to that site (the scan's
+// own loop takes the primary): PLACE relaunches only that site, window
+// expiry fails over nowhere, and the scan completes when every site's
+// loop has. It is counted, and its turnaround reported, once.
 //
 // Sim-thread only; one scheduler per beamline shard (see sched::Fleet).
 #pragma once
@@ -74,8 +76,8 @@ struct AttemptRecord {
   std::string facility;
   std::string flow_name;
   Seconds launched_at = 0.0;
-  // When the attempt's flow run reached a terminal state; -1 if it never
-  // did (still in flight at scan end, or interrupted by a crash).
+  // When the attempt's flow run resolved (a run a crash cut off resolves
+  // "failed:engine_halted"); -1 if it was still in flight at scan end.
   Seconds finished_at = -1.0;
   bool hedge = false;
   bool failover = false;
@@ -109,7 +111,9 @@ class FederatedScheduler {
   // flow run completes (or the scan is abandoned as lost). Wrapper over
   // the coroutine impl (see flow/engine.hpp on GCC 12).
   sim::Future<ScanResult> submit(ScanRequest scan) {
-    return submit_impl(std::move(scan));
+    ++submitted_;
+    std::string any_site;  // the policy places the scan
+    return submit_impl(std::move(scan), std::move(any_site));
   }
 
   // --- campaign accounting (sim-thread reads) ---
@@ -123,7 +127,8 @@ class FederatedScheduler {
   std::size_t hedges_launched() const { return hedges_; }
 
  private:
-  sim::Future<ScanResult> submit_impl(ScanRequest scan);
+  // The PLACE/RACE loop; a non-empty `site` pins every attempt there.
+  sim::Future<ScanResult> submit_impl(ScanRequest scan, std::string site);
 
   // Launch `facility`'s flow for the scan; returns the run future and
   // registers directory bookkeeping (note_placed now, note_finished when

@@ -61,10 +61,8 @@ void parallel_for_chunks(std::size_t begin, std::size_t end, Body&& body) {
 class WorkerScratch {
  public:
   enum ComplexSlot { kFft2Col, kFilterPad, kGridrecRow };
-  enum FloatSlot { kStreamRow };
   static std::span<std::complex<double>> complex_buffer(ComplexSlot slot,
                                                         std::size_t n);
-  static std::span<float> float_buffer(FloatSlot slot, std::size_t n);
 };
 
 }  // namespace parallel

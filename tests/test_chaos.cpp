@@ -3,7 +3,9 @@
 // stays bounded, and (c) the outcome is byte-identical for a fixed seed —
 // chaos events live on the sim clock and all randomness is seeded, so the
 // fault schedule interleaves with the workload reproducibly regardless of
-// host threading (the TSan CI leg runs this suite to prove it).
+// host threading (the TSan CI leg runs this suite to prove it). The seeded
+// sweeps check the zero-lost-scans invariants over 100 random fault
+// schedules per policy and over a crash at every 10 s of a campaign.
 #include <gtest/gtest.h>
 
 #include <cstdio>
@@ -49,23 +51,15 @@ struct Rig {
   Facility fac;
   ChaosEngine chaos;
 
-  explicit Rig(std::uint64_t seed = 42)
-      : fac(make_config(seed)), chaos(fac.engine()) {
-    chaos.bind_link(&fac.lan());
-    chaos.bind_link(&fac.esnet_nersc());
-    chaos.bind_link(&fac.esnet_alcf());
-    chaos.bind_adapter(&fac.nersc_adapter());
-    chaos.bind_adapter(&fac.alcf_adapter());
-    chaos.bind_transfer(&fac.globus());
-    chaos.bind_endpoint(&fac.cfs());
-    chaos.bind_endpoint(&fac.eagle());
-    chaos.bind_flow_engine(&fac.flows());
-    chaos.bind_run_db(&fac.run_db());
+  explicit Rig(std::uint64_t seed = 42, const char* policy = "static_dual")
+      : fac(make_config(seed, policy)), chaos(fac.engine()) {
+    fac.bind_chaos(chaos);
   }
 
-  static FacilityConfig make_config(std::uint64_t seed) {
+  static FacilityConfig make_config(std::uint64_t seed, const char* policy) {
     FacilityConfig cfg;
     cfg.seed = seed;
+    cfg.policy = policy;
     cfg.background_utilization = 0.0;  // keep queue waits deterministic-fast
     return cfg;
   }
@@ -260,6 +254,31 @@ TEST(ChaosGolden, PermissionBurstRecoversViaRetry) {
   EXPECT_LE(makespan(outcomes), baseline_makespan() + 120.0 + 900.0);
 }
 
+TEST(ChaosGolden, ShortPermissionBurstLosesNoReplica) {
+  // One 180 s burst on either filesystem fails the replica of the first
+  // scan writing there (the shrunk case of the random sweep below). The
+  // replica is relaunched at its own site, so no scan is lost.
+  for (const char* endpoint : {"nersc-cfs", "alcf-eagle"}) {
+    SCOPED_TRACE(endpoint);
+    Rig rig;
+    Scenario s;
+    s.name = "short_permission_burst";
+    s.events = {{FaultKind::PermissionBurst, 60.0, 180.0, endpoint, 0.0}};
+    rig.chaos.arm(s);
+    const auto outcomes = rig.run_scans(8, 180.0);
+    std::size_t denied = 0;
+    for (const auto& o : outcomes) {
+      EXPECT_TRUE(o.recon.completed) << o.scan.scan_id;
+      for (const auto& a : o.recon.attempts) {
+        EXPECT_NE(a.facility, "cloud") << o.scan.scan_id;
+        if (a.result == "failed:permission_denied") ++denied;
+      }
+    }
+    EXPECT_GT(denied, 0u);  // the burst really failed a replica
+    EXPECT_EQ(rig.fac.scheduler().scans_lost(), 0u);
+  }
+}
+
 TEST(ChaosGolden, RecallLatencySpikeBoundedInflation) {
   Rig rig;
   Scenario s;
@@ -423,6 +442,67 @@ TEST(ChaosDeterminism, RandomScenarioCampaignCompletes) {
   rig.chaos.arm(make_random_scenario(7, cfg));
   auto outcomes = rig.run_scans(kScans, kInterval);
   expect_all_completed(outcomes);
+}
+
+// ---------------------------------------------------------------------------
+// Seeded sweeps: many fault schedules, the same invariants
+// ---------------------------------------------------------------------------
+
+// Runs 8 scans 180 s apart under `policy` with `scenario` armed, and lists
+// every invariant broken at quiescence: a scan lost or its recon not
+// completed, a flow run left non-terminal, a placement still in flight.
+std::vector<std::string> sweep_violations(const char* policy,
+                                          const Scenario& scenario) {
+  Rig rig(42, policy);
+  rig.chaos.arm(scenario);
+  std::vector<std::string> out;
+  for (const auto& o : rig.run_scans(8, 180.0)) {
+    if (!o.recon.completed) out.push_back(o.scan.scan_id + " not completed");
+  }
+  if (rig.fac.scheduler().scans_lost() != 0) out.push_back("a scan was lost");
+  for (const auto& run : rig.fac.run_db().runs()) {
+    if (!flow::is_terminal(run.state)) {
+      out.push_back(run.flow_name + " run " + run.id + " left " +
+                    flow::run_state_name(run.state));
+    }
+  }
+  for (const auto& f : rig.fac.directory().snapshot(rig.fac.engine().now())) {
+    if (f.inflight_placements != 0) out.push_back(f.name + " in flight");
+  }
+  return out;
+}
+
+TEST(ChaosSweep, RandomScenariosLoseNothing) {
+  RandomScenarioConfig cfg;
+  cfg.horizon = 900.0;
+  cfg.n_events = 6;
+  cfg.min_duration = 30.0;
+  cfg.max_duration = 300.0;
+  cfg.links = {"esnet-nersc", "esnet-alcf"};
+  cfg.facilities = {"nersc", "alcf"};
+  cfg.endpoints = {"nersc-cfs", "alcf-eagle"};
+  cfg.allow_transfer_faults = true;
+  for (const char* policy : {"static_dual", "greedy", "round_robin"}) {
+    for (std::uint64_t seed = 1; seed <= 100; ++seed) {
+      const Scenario s = make_random_scenario(seed, cfg);
+      for (const std::string& v : sweep_violations(policy, s)) {
+        ADD_FAILURE() << policy << ", seed " << seed << ": " << v;
+      }
+    }
+  }
+}
+
+TEST(ChaosSweep, EveryCrashPointCompletesEveryRecon) {
+  for (const char* policy : {"static_dual", "greedy"}) {
+    for (int t = 0; t <= 1800; t += 10) {
+      Scenario s;
+      s.name = "crash_point";
+      s.events = {{FaultKind::EngineCrash, double(t), 120.0, "", 0.0}};
+      for (const std::string& v : sweep_violations(policy, s)) {
+        ADD_FAILURE() << policy << ", crash at t=" << t << ": " << v;
+      }
+    }
+  }
 }
 
 TEST(ChaosEngineUnit, UnboundTargetIsSkippedNotFatal) {

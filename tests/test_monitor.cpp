@@ -507,16 +507,7 @@ struct MonitorRig {
 
   explicit MonitorRig(std::uint64_t seed = 42)
       : fac(make_config(seed)), chaos(fac.engine()), mon(mon_config()) {
-    chaos.bind_link(&fac.lan());
-    chaos.bind_link(&fac.esnet_nersc());
-    chaos.bind_link(&fac.esnet_alcf());
-    chaos.bind_adapter(&fac.nersc_adapter());
-    chaos.bind_adapter(&fac.alcf_adapter());
-    chaos.bind_transfer(&fac.globus());
-    chaos.bind_endpoint(&fac.cfs());
-    chaos.bind_endpoint(&fac.eagle());
-    chaos.bind_flow_engine(&fac.flows());
-    chaos.bind_run_db(&fac.run_db());
+    fac.bind_chaos(chaos);
     mon.add_default_slos(rig_slo_config());
     mon.add_watermark("run_db_task_records", "run_db", "orchestrate", [this] {
       return double(fac.run_db().task_records().size());

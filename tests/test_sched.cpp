@@ -6,8 +6,8 @@
 //                      snapshots: static dual replication, rotation,
 //                      cost-model ordering, blackout unreachability,
 //                      sick-site avoidance, deadline-only hedging.
-//   scheduler units  — a replicated placement records each run's outcome
-//                      and never relaunches, hedges or fails over.
+//   scheduler units  — a replicated placement relaunches a failed run at
+//                      its own site only, and never hedges or fails over.
 //   fleet campaigns  — a ≥1000-scan, 8-beamline campaign with dynamic
 //                      placement completes with zero lost scans; a
 //                      mid-campaign facility blackout still loses nothing
@@ -254,6 +254,22 @@ TEST(FacilityDirectory, InflightAccountingAndSnapshotOrder) {
   EXPECT_FALSE(snap[0].has_link);  // no WAN path registered
 }
 
+// A duplicate or adapterless site is a configuration error: it stops the
+// run in every build type, not only where asserts are compiled in.
+TEST(FacilityDirectory, BadEntryAbortsInEveryBuild) {
+  testing::FLAGS_gtest_death_test_style = "threadsafe";
+  sim::Engine eng;
+  hpc::CloudBurstAdapter adapter(eng, hpc::ComputeModel{});
+  FacilityDirectory dir;
+  FacilityInfo info;
+  info.name = "nersc";
+  info.flow_name = "recon_nersc";
+  EXPECT_DEATH(dir.add(info), "facility 'nersc' has no adapter");
+  info.adapter = &adapter;
+  dir.add(info);
+  EXPECT_DEATH(dir.add(info), "facility 'nersc' registered twice");
+}
+
 // ---------------------------------------------------------------------------
 // Scheduler units: replicated placement
 // ---------------------------------------------------------------------------
@@ -268,14 +284,16 @@ sim::Future<Status> finish_after(sim::Engine* eng, Seconds dt,
   co_return Status::success();
 }
 
-// nersc, alcf and cloud sites whose recon flows end after fixed delays
-// (nullptr error = success). The cloud site is an untried failover
-// target that a replicated placement must never use.
+// nersc, alcf and cloud sites whose recon flows end after fixed delays.
+// A site's first `failing_runs` runs fail with `error` (nullptr = every
+// run succeeds). The cloud site is an untried failover target that a
+// replicated placement must never use.
 struct ReplicaRig {
   struct Site {
     const char* name;
     Seconds dt;
     const char* error;
+    int failing_runs = 1 << 30;
   };
 
   explicit ReplicaRig(std::vector<Site> sites, SchedulerConfig cfg = {})
@@ -289,8 +307,10 @@ struct ReplicaRig {
       info.adapter = adapters.back().get();
       dir.add(info);
       sim::Engine* e = &eng;
-      flows.register_flow(info.flow_name, [e, site](flow::FlowContext) {
-        return finish_after(e, site.dt, site.error);
+      auto runs = std::make_shared<int>(0);
+      flows.register_flow(info.flow_name, [e, site, runs](flow::FlowContext) {
+        const bool fail = (*runs)++ < site.failing_runs;
+        return finish_after(e, site.dt, fail ? site.error : nullptr);
       });
     }
     scheduler = std::make_unique<FederatedScheduler>(eng, flows, dir,
@@ -312,27 +332,64 @@ struct ReplicaRig {
   std::unique_ptr<FederatedScheduler> scheduler;
 };
 
-TEST(ReplicatedPlacement, FailedReplicaIsRecordedNotRelaunched) {
+TEST(ReplicatedPlacement, FailedReplicaIsRelaunchedOnlyAtItsSite) {
   ReplicaRig rig({{"nersc", 10.0, "permission_denied"},
                   {"alcf", 50.0, nullptr},
                   {"cloud", 5.0, nullptr}});
   const ScanResult res = rig.run_one();
+  const std::size_t budget = std::size_t(SchedulerConfig{}.max_attempts);
 
   EXPECT_FALSE(res.completed);  // every replica must complete
   EXPECT_EQ(res.facility, "");
-  ASSERT_EQ(res.attempts.size(), 2u);
-  EXPECT_EQ(res.attempts[0].facility, "nersc");
-  EXPECT_EQ(res.attempts[0].result, "failed:permission_denied");
-  EXPECT_DOUBLE_EQ(res.attempts[0].finished_at, 10.0);
-  EXPECT_EQ(res.attempts[1].facility, "alcf");
-  EXPECT_EQ(res.attempts[1].result, "completed");
-  EXPECT_DOUBLE_EQ(res.turnaround(), 50.0);
-  // The failure launched nothing: one run per replica, none elsewhere.
-  EXPECT_EQ(rig.db.runs("recon_nersc").size(), 1u);
+  // nersc's loop re-places each failure at once until the launch budget is
+  // spent; the attempts are listed site by site.
+  ASSERT_EQ(res.attempts.size(), budget + 1);
+  for (std::size_t i = 0; i < budget; ++i) {
+    EXPECT_EQ(res.attempts[i].facility, "nersc");
+    EXPECT_EQ(res.attempts[i].result, "failed:permission_denied");
+    EXPECT_DOUBLE_EQ(res.attempts[i].launched_at, 10.0 * double(i));
+    EXPECT_DOUBLE_EQ(res.attempts[i].finished_at, 10.0 * double(i + 1));
+  }
+  EXPECT_EQ(res.attempts[budget].facility, "alcf");
+  EXPECT_EQ(res.attempts[budget].result, "completed");
+  EXPECT_DOUBLE_EQ(res.turnaround(), 10.0 * double(budget));
+  // Relaunched at its own site, never elsewhere.
+  EXPECT_EQ(rig.db.runs("recon_nersc").size(), budget);
   EXPECT_EQ(rig.db.runs("recon_alcf").size(), 1u);
   EXPECT_TRUE(rig.db.runs("recon_cloud").empty());
-  EXPECT_EQ(rig.scheduler->failovers(), 0u);
+  EXPECT_EQ(rig.scheduler->hedges_launched(), 0u);
+  // One scan, counted once.
+  EXPECT_EQ(rig.scheduler->scans_submitted(), 1u);
+  EXPECT_EQ(rig.scheduler->scans_completed(), 0u);
   EXPECT_EQ(rig.scheduler->scans_lost(), 1u);
+  EXPECT_EQ(rig.dir.inflight("nersc"), 0u);
+  EXPECT_EQ(rig.dir.inflight("alcf"), 0u);
+}
+
+TEST(ReplicatedPlacement, RelaunchedReplicaCompletesTheScan) {
+  ReplicaRig rig({{"nersc", 10.0, "permission_denied", 2},
+                  {"alcf", 50.0, nullptr},
+                  {"cloud", 5.0, nullptr}});
+  const ScanResult res = rig.run_one();
+
+  EXPECT_TRUE(res.completed);
+  EXPECT_EQ(res.facility, "nersc");  // the primary
+  ASSERT_EQ(res.attempts.size(), 4u);
+  EXPECT_EQ(res.attempts[0].result, "failed:permission_denied");
+  EXPECT_EQ(res.attempts[1].result, "failed:permission_denied");
+  EXPECT_EQ(res.attempts[2].facility, "nersc");
+  EXPECT_EQ(res.attempts[2].result, "completed");
+  EXPECT_DOUBLE_EQ(res.attempts[2].finished_at, 30.0);
+  EXPECT_EQ(res.attempts[3].facility, "alcf");
+  EXPECT_EQ(res.attempts[3].result, "completed");
+  EXPECT_DOUBLE_EQ(res.turnaround(), 50.0);
+  const auto nersc_runs = rig.db.runs("recon_nersc");
+  ASSERT_EQ(nersc_runs.size(), 3u);
+  EXPECT_EQ(res.flow_run_id, nersc_runs[2].id);  // the primary's winner
+  EXPECT_TRUE(rig.db.runs("recon_cloud").empty());
+  EXPECT_EQ(rig.scheduler->scans_submitted(), 1u);
+  EXPECT_EQ(rig.scheduler->scans_completed(), 1u);
+  EXPECT_EQ(rig.scheduler->scans_lost(), 0u);
 }
 
 TEST(ReplicatedPlacement, SlowReplicaLaunchesNoFailover) {
@@ -351,7 +408,7 @@ TEST(ReplicatedPlacement, SlowReplicaLaunchesNoFailover) {
   EXPECT_EQ(rig.scheduler->hedges_launched(), 0u);
   EXPECT_FALSE(res.failed_over);
   EXPECT_TRUE(rig.db.runs("recon_cloud").empty());
-  // Awaited in launch order, yet each attempt keeps its own finish time.
+  // Each attempt keeps its own finish time.
   EXPECT_DOUBLE_EQ(res.attempts[0].finished_at, 500.0);
   EXPECT_DOUBLE_EQ(res.attempts[1].finished_at, 50.0);
   EXPECT_DOUBLE_EQ(res.turnaround(), 500.0);
@@ -428,6 +485,16 @@ TEST(FleetPolicy, UnknownPolicyNameAbortsInEveryBuild) {
   Fleet fleet(eng, dir, "oracle");
   EXPECT_DEATH(fleet.add_shard("bl-0", nullptr),
                "unknown placement policy 'oracle'");
+}
+
+TEST(FleetPolicy, DuplicateBeamlineAbortsInEveryBuild) {
+  testing::FLAGS_gtest_death_test_style = "threadsafe";
+  sim::Engine eng;
+  FacilityDirectory dir;
+  Fleet fleet(eng, dir, "greedy");
+  fleet.add_shard("bl-0", nullptr);
+  EXPECT_DEATH(fleet.add_shard("bl-0", nullptr),
+               "beamline shard 'bl-0' added twice");
 }
 
 TEST(FleetPolicy, UnknownBeamlineAbortsInEveryBuild) {

@@ -95,8 +95,8 @@ BLOCKING_CALLS = {"wait", "wait_for", "wait_until", "join", "sleep_for",
 # The sanctioned arena API (src/parallel/scratch.hpp) and the region marker
 # itself: calls through these never count as effects or callees.
 SANCTIONED_RECEIVERS = {"WorkerScratch", "hotguard", "HotRegion"}
-SANCTIONED_CALLS = {"complex_buffer", "float_buffer", "double_buffer",
-                    "thread_bytes", "HotRegion", "current_region", "depth",
+SANCTIONED_CALLS = {"complex_buffer", "double_buffer", "thread_bytes",
+                    "HotRegion", "current_region", "depth",
                     "hot_alloc_count", "hot_alloc_bytes"}
 
 # Member calls with these names are ubiquitous std-container accessors; a
