@@ -33,7 +33,7 @@ struct TenantOutcome {
   std::string name;
   std::size_t served = 0;
   std::size_t failed = 0;
-  std::vector<double> latency;
+  std::vector<double> latency{};
 };
 
 }  // namespace

@@ -22,19 +22,21 @@ std::string human_bytes(Bytes b) {
 }
 
 std::string human_duration(Seconds s) {
-  char buf[64];
+  const char* sign = "";
   if (s < 0) {
-    return "-" + human_duration(-s);
+    sign = "-";
+    s = -s;
   }
+  char buf[64];
   if (s < 60.0) {
-    std::snprintf(buf, sizeof buf, "%.1fs", s);
+    std::snprintf(buf, sizeof buf, "%s%.1fs", sign, s);
   } else if (s < 3600.0) {
     int m = int(s / 60.0);
-    std::snprintf(buf, sizeof buf, "%dm %02.0fs", m, s - m * 60.0);
+    std::snprintf(buf, sizeof buf, "%s%dm %02.0fs", sign, m, s - m * 60.0);
   } else {
     int h = int(s / 3600.0);
     int m = int((s - h * 3600.0) / 60.0);
-    std::snprintf(buf, sizeof buf, "%dh %02dm", h, m);
+    std::snprintf(buf, sizeof buf, "%s%dh %02dm", sign, h, m);
   }
   return buf;
 }

@@ -118,7 +118,7 @@ std::uint64_t Ah5File::byte_size() const {
 std::vector<std::uint8_t> Ah5File::serialize() const {
   std::vector<std::uint8_t> out;
   out.reserve(byte_size());
-  out.insert(out.end(), kMagic, kMagic + 4);
+  for (const char c : kMagic) out.push_back(std::uint8_t(c));
   put_u32(out, std::uint32_t(attrs_.size()));
   for (const auto& [k, v] : attrs_) {
     put_string(out, k);

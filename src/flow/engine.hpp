@@ -239,7 +239,7 @@ class FlowEngine {
   struct Registration {
     FlowFn fn;
     FlowOptions options;
-    FlowSpec spec;
+    FlowSpec spec{};
     bool has_spec = false;
     bool validated = false;  // cached clean verdict; reset on re-register
   };

@@ -15,7 +15,8 @@ sim::Future<Result<JobId>> SfApiClient::submit_job_impl(JobSpec spec) {
   co_await authenticate();
   ++api_calls_;
   co_await sim::delay(eng_, tuning_.call_latency);
-  co_return cluster_.submit(std::move(spec));
+  Result<JobId> submitted = cluster_.submit(std::move(spec));
+  co_return submitted;
 }
 
 sim::Future<Result<JobInfo>> SfApiClient::job_status(JobId id) {

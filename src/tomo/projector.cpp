@@ -15,11 +15,11 @@ namespace alsflow::tomo {
 namespace {
 
 // Per-angle cos/sin tables in worker-local scratch. The tables live in the
-// calling thread's arena (not per-call vectors): fbp_backproject_points runs
-// inside the streaming preview's hot lambdas, where a per-call allocation
-// would break the hot-path contract. The spans stay valid for the duration
-// of the enclosing call — nested parallel_for bodies on other threads read
-// the submitter's tables through the captured spans.
+// calling thread's arena (not per-call vectors): fbp_backproject_points is a
+// hot function, where a per-call allocation would break the hot-path
+// contract. The spans stay valid for the duration of the enclosing call —
+// nested parallel_for bodies on other threads read the submitter's tables
+// through the captured spans.
 struct Trig {
   std::span<double> ct, st;
 };
@@ -27,15 +27,20 @@ struct Trig {
 // The tables hold cos and sin times `scale`: 1 for the projector pair, and
 // n_det / 2 = 1 / det_spacing for FBP, whose detector coordinate is then
 // u * ct + v * st + center with no division.
+void fill_trig(const Geometry& geo, double scale, std::span<double> ct,
+               std::span<double> st) {
+  for (std::size_t a = 0; a < geo.n_angles; ++a) {
+    ct[a] = std::cos(geo.angle(a)) * scale;
+    st[a] = std::sin(geo.angle(a)) * scale;
+  }
+}
+
 Trig trig_tables(const Geometry& geo, double scale) {
   Trig t{parallel::WorkerScratch::double_buffer(
              parallel::WorkerScratch::kTrigCos, geo.n_angles),
          parallel::WorkerScratch::double_buffer(
              parallel::WorkerScratch::kTrigSin, geo.n_angles)};
-  for (std::size_t a = 0; a < geo.n_angles; ++a) {
-    t.ct[a] = std::cos(geo.angle(a)) * scale;
-    t.st[a] = std::sin(geo.angle(a)) * scale;
-  }
+  fill_trig(geo, scale, t.ct, t.st);
   return t;
 }
 
@@ -139,12 +144,6 @@ namespace {
 // 1 / det_spacing: FBP's trig tables are scaled by it.
 double inv_det_spacing(const Geometry& geo) { return 0.5 * double(geo.n_det); }
 
-// pi / n_angles from the angular integral; 1 / det_spacing from the
-// frequency-domain filter discretization (see filters.hpp).
-double fbp_scale(const Geometry& geo) {
-  return M_PI / double(geo.n_angles) * inv_det_spacing(geo);
-}
-
 // Pixel-centre u coordinates of an n-wide row, computed exactly as callers
 // of fbp_backproject_points compute theirs, so a plane pixel and the same
 // point sampled alone see bit-identical detector coordinates.
@@ -161,19 +160,38 @@ inline double tap(std::span<const float> det, double t) {
   return det[std::size_t(i)] * (1.0 - frac) + det[std::size_t(i) + 1] * frac;
 }
 
-// The FBP gather every plane back-projector shares, for one pixel row and
-// one angle: out[x] += weight * tap(det, t(x)) with the detector coordinate
-// t(x) = us[x] * ct + base (ct scaled by 1 / det_spacing; base = v * st +
-// center), over the x where both taps exist. t is affine in x, so the range
-// comes from its closed form, clamped in double before the integer
-// conversion, then settled against the exact predicate the loop relies on
-// (t is monotone in x, so the valid x are one run). The loop itself has
-// neither a division nor a bounds branch.
-ALSFLOW_HOT void gather_row(std::span<const float> det,
-                            std::span<const double> us, double ct, double base,
-                            double weight, std::span<float> out) {
+// One angle's term of a sample point's FBP sum: the tap at the detector
+// coordinate fbp_accumulate_row uses, skipped unless both taps exist.
+inline void add_point_tap(std::span<const float> det, double u, double v,
+                          double ct, double st, double center, double& acc) {
+  const double t = u * ct + (v * st + center);
+  if (t >= 0.0 && t < double(det.size()) - 1.0) acc += tap(det, t);
+}
+
+}  // namespace
+
+void fbp_trig(const Geometry& geo, std::span<double> ct, std::span<double> st) {
+  assert(ct.size() == geo.n_angles && st.size() == geo.n_angles);
+  fill_trig(geo, inv_det_spacing(geo), ct, st);
+}
+
+double fbp_scale(const Geometry& geo) {
+  return M_PI / double(geo.n_angles) * inv_det_spacing(geo);
+}
+
+// The detector coordinate t(x) = us[x] * ct + base (base = v * st + center)
+// is affine in x, so the range of x where both taps exist comes from its
+// closed form, clamped in double before the integer conversion, then
+// settled against the exact predicate the loop relies on (t is monotone in
+// x, so the valid x are one run). The loop itself has neither a division
+// nor a bounds branch.
+ALSFLOW_HOT void fbp_accumulate_row(std::span<const float> det,
+                                    std::span<const double> us, double v,
+                                    double ct, double st, double center,
+                                    std::span<float> out) {
   const std::size_t n = us.size();
   if (n == 0) return;
+  const double base = v * st + center;
   const double t_max = double(det.size()) - 1.0;
   const auto t_of = [&](std::size_t x) { return us[x] * ct + base; };
   const auto inside = [&](std::size_t x) {
@@ -197,12 +215,19 @@ ALSFLOW_HOT void gather_row(std::span<const float> det,
   while (x0 < x1 && !inside(x0)) ++x0;
   while (x1 < n && inside(x1)) ++x1;
   while (x1 > x0 && !inside(x1 - 1)) --x1;
-  for (std::size_t x = x0; x < x1; ++x) {
-    out[x] += float(tap(det, t_of(x)) * weight);
-  }
+  for (std::size_t x = x0; x < x1; ++x) out[x] += float(tap(det, t_of(x)));
 }
 
-}  // namespace
+ALSFLOW_HOT void fbp_accumulate_points(std::span<const float> det,
+                                       std::span<const double> us,
+                                       std::span<const double> vs, double ct,
+                                       double st, double center,
+                                       std::span<double> acc) {
+  assert(us.size() == vs.size() && us.size() == acc.size());
+  for (std::size_t i = 0; i < us.size(); ++i) {
+    add_point_tap(det, us[i], vs[i], ct, st, center, acc[i]);
+  }
+}
 
 Image fbp_backproject(const Image& filtered_sino, const Geometry& geo,
                       std::size_t n) {
@@ -217,28 +242,12 @@ Image fbp_backproject(const Image& filtered_sino, const Geometry& geo,
     const double v = v_of(y, n);
     auto out_row = img.row(y);
     for (std::size_t a = 0; a < geo.n_angles; ++a) {
-      gather_row(filtered_sino.row(a), us, trig.ct[a],
-                 v * trig.st[a] + center, 1.0, out_row);
+      fbp_accumulate_row(filtered_sino.row(a), us, v, trig.ct[a], trig.st[a],
+                         center, out_row);
     }
     for (auto& p : out_row) p = float(p * scale);
   });
   return img;
-}
-
-void fbp_accumulate_row(Image& accum, std::span<const float> filtered_row,
-                        const Geometry& geo, std::size_t angle_index) {
-  const std::size_t n = accum.nx();
-  const double ct = std::cos(geo.angle(angle_index)) * inv_det_spacing(geo);
-  const double st = std::sin(geo.angle(angle_index)) * inv_det_spacing(geo);
-  const std::vector<double> us = pixel_us(n);
-  const double center = geo.center_or_default();
-  const double scale = fbp_scale(geo);
-
-  parallel::parallel_for(0, accum.ny(), [&](std::size_t y) {
-    hotguard::HotRegion region("projector.fbp_row");
-    gather_row(filtered_row, us, ct, v_of(y, n) * st + center, scale,
-               accum.row(y));
-  });
 }
 
 ALSFLOW_HOT void fbp_backproject_points(const Image& filtered_sino,
@@ -250,16 +259,12 @@ ALSFLOW_HOT void fbp_backproject_points(const Image& filtered_sino,
   const Trig trig = trig_tables(geo, inv_det_spacing(geo));
   const double center = geo.center_or_default();
   const double scale = fbp_scale(geo);
-  const double t_max = double(geo.n_det) - 1.0;
 
   for (std::size_t i = 0; i < us.size(); ++i) {
     double acc = 0.0;
     for (std::size_t a = 0; a < geo.n_angles; ++a) {
-      // Same expression as gather_row's t(x), so a point on a plane pixel
-      // centre reproduces that pixel's taps exactly.
-      const double t = us[i] * trig.ct[a] + (vs[i] * trig.st[a] + center);
-      if (!(t >= 0.0 && t < t_max)) continue;
-      acc += tap(filtered_sino.row(a), t);
+      add_point_tap(filtered_sino.row(a), us[i], vs[i], trig.ct[a],
+                    trig.st[a], center, acc);
     }
     out[i] = float(acc * scale);
   }

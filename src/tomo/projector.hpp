@@ -38,15 +38,38 @@ void back_project_adjoint_into(const Image& sino, const Geometry& geo,
 Image fbp_backproject(const Image& filtered_sino, const Geometry& geo,
                       std::size_t n);
 
-// Accumulate the FBP contribution of a single filtered projection row into
-// `accum`, scale applied per call: summed over every angle it matches
-// fbp_backproject, whose gather it shares.
-void fbp_accumulate_row(Image& accum, std::span<const float> filtered_row,
-                        const Geometry& geo, std::size_t angle_index);
+// FBP one angle at a time, for callers that sum the angles themselves (the
+// streaming preview adds each frame as it arrives). fbp_backproject is, per
+// row, fbp_accumulate_row over every angle in angle order from zero, then
+// one multiply by fbp_scale; fbp_backproject_points is the same with
+// fbp_accumulate_points. A caller that sums in that order reproduces them
+// bit for bit. The accumulate calls allocate nothing.
+
+// Per-angle cos and sin, pre-scaled by 1 / det_spacing (n_angles each).
+void fbp_trig(const Geometry& geo, std::span<double> ct, std::span<double> st);
+
+// pi / n_angles from the angular integral; 1 / det_spacing from the
+// frequency-domain filter discretization (see filters.hpp).
+double fbp_scale(const Geometry& geo);
+
+// The one FBP gather: one angle (detector row `det`, trig ct / st from
+// fbp_trig) into one plane row at height v. out[x] += tap(det, t(x)) with
+// t(x) = us[x] * ct + (v * st + center), over the x whose two linear-
+// interpolation taps both lie on the detector.
+void fbp_accumulate_row(std::span<const float> det, std::span<const double> us,
+                        double v, double ct, double st, double center,
+                        std::span<float> out);
+
+// The same angle at sample points (us[i], vs[i]): acc[i] += tap(det, t_i)
+// with the same t expression and the same skip.
+void fbp_accumulate_points(std::span<const float> det,
+                           std::span<const double> us,
+                           std::span<const double> vs, double ct, double st,
+                           double center, std::span<double> acc);
 
 // FBP-reconstruct arbitrary sample points (us[i], vs[i]) in [-1, 1] coords
-// from a filtered sinogram. Used to extract single lines of a slice (the
-// streaming preview's orthogonal cuts) without reconstructing the plane.
+// from a filtered sinogram: single lines of a slice (such as the streaming
+// preview's orthogonal cuts) without reconstructing the plane.
 void fbp_backproject_points(const Image& filtered_sino, const Geometry& geo,
                             std::span<const double> us,
                             std::span<const double> vs, std::span<float> out);

@@ -16,8 +16,24 @@ StreamingReconstructor::StreamingReconstructor(StreamingConfig config)
       filter_(config_.filter, config_.geo.n_det),
       sinos_(config_.n_rows,
              Image(config_.geo.n_angles, config_.geo.n_det)),
-      seen_(config_.geo.n_angles, false) {
+      seen_(config_.geo.n_angles, false),
+      ct_(config_.geo.n_angles),
+      st_(config_.geo.n_angles),
+      us_(config_.recon_width()),
+      vs_(config_.recon_width()),
+      zeros_(config_.recon_width(), 0.0),
+      plane_(config_.recon_width(), config_.recon_width()),
+      xz_(config_.n_rows * config_.recon_width(), 0.0),
+      yz_(config_.n_rows * config_.recon_width(), 0.0) {
   assert(config_.n_rows > 0 && config_.geo.n_angles > 0);
+  fbp_trig(config_.geo, ct_, st_);
+  // Pixel centres on the [-1, 1] grid, +v up: fbp_backproject's own
+  // coordinates, so the cuts cross the plane's pixels exactly.
+  const std::size_t n = us_.size();
+  for (std::size_t i = 0; i < n; ++i) {
+    us_[i] = 2.0 * (double(i) + 0.5) / double(n) - 1.0;
+    vs_[i] = 1.0 - 2.0 * (double(i) + 0.5) / double(n);
+  }
 }
 
 void StreamingReconstructor::set_reference(const Image& dark,
@@ -69,7 +85,52 @@ void StreamingReconstructor::on_frame(std::size_t angle_index,
   if (!seen_[angle_index]) {
     seen_[angle_index] = true;
     ++frames_received_;
+  } else if (angle_index < frontier_) {
+    // The replaced frame is already in the sums, and a float sum cannot
+    // take a term back out exactly: rebuild them from the sinograms.
+    plane_.fill(0.0f);
+    std::fill(xz_.begin(), xz_.end(), 0.0);
+    std::fill(yz_.begin(), yz_.end(), 0.0);
+    frontier_ = 0;
   }
+
+  // Back-project every angle the frontier can now pass. Sums grow in angle
+  // order only, as fbp_backproject's do, so the preview's bytes do not
+  // depend on the order frames arrive in.
+  std::size_t end = frontier_;
+  while (end < config_.geo.n_angles && seen_[end]) ++end;
+  if (end > frontier_) {
+    add_angles(frontier_, end, plane_, xz_, yz_);
+    frontier_ = end;
+  }
+}
+
+void StreamingReconstructor::add_angles(std::size_t a0, std::size_t a1,
+                                        Image& plane, std::span<double> xz,
+                                        std::span<double> yz) const {
+  // One item per plane row, then one per detector row for its two cut
+  // lines. Each item owns its outputs and sums them over the angles in
+  // order, so the result does not depend on the pool size either.
+  const std::size_t n = config_.recon_width();
+  const double center = config_.geo.center_or_default();
+  const Image& mid = sinos_[config_.n_rows / 2];
+  parallel::parallel_for(0, n + config_.n_rows, [&](std::size_t i) {
+    hotguard::HotRegion region("streaming.preview");
+    for (std::size_t a = a0; a < a1; ++a) {
+      if (!seen_[a]) continue;
+      if (i < n) {
+        fbp_accumulate_row(mid.row(a), us_, vs_[i], ct_[a], st_[a], center,
+                           plane.row(i));
+        continue;
+      }
+      const std::size_t z = i - n;
+      const auto det = sinos_[z].row(a);
+      fbp_accumulate_points(det, us_, zeros_, ct_[a], st_[a], center,
+                            xz.subspan(z * n, n));
+      fbp_accumulate_points(det, zeros_, vs_, ct_[a], st_[a], center,
+                            yz.subspan(z * n, n));
+    }
+  });
 }
 
 Image StreamingReconstructor::reconstruct_row(std::size_t z) const {
@@ -91,49 +152,19 @@ Volume StreamingReconstructor::reconstruct_all_rows() const {
 
 OrthoPreview StreamingReconstructor::finalize() const {
   const std::size_t n = config_.recon_width();
-  const std::size_t n_rows = config_.n_rows;
-  OrthoPreview preview;
-
-  // Central XY plane.
-  preview.xy = reconstruct_row(n_rows / 2);
-
-  // Orthogonal cuts: one line per detector row.
-  preview.xz = Image(n_rows, n);
-  preview.yz = Image(n_rows, n);
-  std::vector<double> us(n), vs(n);
-
-  // XZ: v fixed at 0, u sweeps.
-  for (std::size_t x = 0; x < n; ++x) {
-    us[x] = 2.0 * (double(x) + 0.5) / double(n) - 1.0;
-    vs[x] = 0.0;
+  OrthoPreview preview{plane_, Image(config_.n_rows, n),
+                       Image(config_.n_rows, n)};
+  std::vector<double> xz = xz_, yz = yz_;
+  // Angles received past a gap join the copies, still in angle order.
+  if (frames_received_ > frontier_) {
+    add_angles(frontier_, config_.geo.n_angles, preview.xy, xz, yz);
   }
-  parallel::parallel_for(0, n_rows, [&](std::size_t z) {
-    // Warm the trig arena before the region opens; fbp_backproject_points
-    // reacquires the same slots growth-free inside.
-    parallel::WorkerScratch::double_buffer(parallel::WorkerScratch::kTrigCos,
-                                           config_.geo.n_angles);
-    parallel::WorkerScratch::double_buffer(parallel::WorkerScratch::kTrigSin,
-                                           config_.geo.n_angles);
-    hotguard::HotRegion region("streaming.preview");
-    fbp_backproject_points(sinos_[z], config_.geo, us, vs, preview.xz.row(z));
-  });
-
-  // YZ: u fixed at 0, v sweeps.
-  std::vector<double> us2(n), vs2(n);
-  for (std::size_t y = 0; y < n; ++y) {
-    us2[y] = 0.0;
-    vs2[y] = 1.0 - 2.0 * (double(y) + 0.5) / double(n);
+  const double scale = fbp_scale(config_.geo);
+  for (auto& p : preview.xy.span()) p = float(p * scale);
+  for (std::size_t i = 0; i < xz.size(); ++i) {
+    preview.xz.data()[i] = float(xz[i] * scale);
+    preview.yz.data()[i] = float(yz[i] * scale);
   }
-  parallel::parallel_for(0, n_rows, [&](std::size_t z) {
-    parallel::WorkerScratch::double_buffer(parallel::WorkerScratch::kTrigCos,
-                                           config_.geo.n_angles);
-    parallel::WorkerScratch::double_buffer(parallel::WorkerScratch::kTrigSin,
-                                           config_.geo.n_angles);
-    hotguard::HotRegion region("streaming.preview");
-    fbp_backproject_points(sinos_[z], config_.geo, us2, vs2,
-                           preview.yz.row(z));
-  });
-
   return preview;
 }
 

@@ -24,6 +24,9 @@ TEST(Units, HumanDuration) {
   EXPECT_EQ(human_duration(7.4), "7.4s");
   EXPECT_EQ(human_duration(minutes(25) + 12), "25m 12s");
   EXPECT_EQ(human_duration(hours(3) + minutes(5)), "3h 05m");
+  EXPECT_EQ(human_duration(-7.4), "-7.4s");
+  EXPECT_EQ(human_duration(-(minutes(25) + 12)), "-25m 12s");
+  EXPECT_EQ(human_duration(-(hours(3) + minutes(5))), "-3h 05m");
 }
 
 TEST(Units, Conversions) {

@@ -98,10 +98,11 @@ TEST(RunDb, TaskDurationSummaryFiltersByFlowAndState) {
 TEST(RunDb, TaskDurationSummaryLastN) {
   RunDatabase db;
   auto id = db.create_run("f", 0.0);
+  const std::string task = "t";
   for (int i = 0; i < 10; ++i) {
     TaskRunRecord rec;
     rec.flow_run_id = id;
-    rec.task_name = "t";
+    rec.task_name = task;
     rec.state = RunState::Completed;
     rec.started_at = 0.0;
     rec.finished_at = double(i + 1);  // durations 1..10
@@ -116,10 +117,11 @@ TEST(RunDb, TaskDurationSummaryLastN) {
 TEST(RunDb, TaskDurationQuantilesMatchSummarySampleSet) {
   RunDatabase db;
   auto id = db.create_run("f", 0.0);
+  const std::string task = "t";
   for (int i = 0; i < 100; ++i) {
     TaskRunRecord rec;
     rec.flow_run_id = id;
-    rec.task_name = "t";
+    rec.task_name = task;
     rec.state = RunState::Completed;
     rec.started_at = 0.0;
     rec.finished_at = double(i + 1);  // durations 1..100

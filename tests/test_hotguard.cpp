@@ -244,7 +244,6 @@ TEST_F(HotGuardTest, HoistedKernelsRunAllocationFreeInSteadyState) {
   scfg.geo = geo;
   scfg.n_rows = 5;
   scfg.normalize = false;
-  tomo::StreamingReconstructor streamer(scfg);
   tomo::Image frame(scfg.n_rows, geo.n_det, 0.25f);
   // Gridrec volumes run slices in pairs: three slices run a pair and a
   // lone slice.
@@ -265,9 +264,16 @@ TEST_F(HotGuardTest, HoistedKernelsRunAllocationFreeInSteadyState) {
     tomo::reconstruct_volume(sinos, geo, kN, opts);
     std::vector<std::complex<double>> buf(128 * 128, {1.0, 0.0});
     tomo::fft2(buf, 128, 128, false);
+    // Every preview path: frames summed as they arrive, angles waiting
+    // behind a gap (angle 1 comes last) added by finalize(), and a
+    // duplicate of a summed angle rebuilding the sums.
+    tomo::StreamingReconstructor streamer(scfg);
     for (std::size_t a = 0; a < geo.n_angles; ++a) {
-      streamer.on_frame(a, frame);
+      if (a != 1) streamer.on_frame(a, frame);
     }
+    streamer.finalize();
+    streamer.on_frame(1, frame);
+    streamer.on_frame(0, frame);
     streamer.finalize();
   };
 

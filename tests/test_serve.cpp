@@ -338,10 +338,10 @@ TEST(Frontend, DeterministicResultsAcrossWorkerCounts) {
     cfg.degrade_levels = 0;
     Frontend fe(tiled, cfg);
     std::vector<std::shared_ptr<Ticket>> tickets;
+    const std::string tenants[] = {"t0", "t1", "t2"};
     for (std::size_t i = 0; i < 60; ++i) {
       tickets.push_back(
-          fe.submit(request("t" + std::to_string(i % 3), i % 3, int(i % 3),
-                            i % 8)));
+          fe.submit(request(tenants[i % 3], i % 3, int(i % 3), i % 8)));
     }
     std::vector<std::vector<float>> images;
     for (auto& t : tickets) {

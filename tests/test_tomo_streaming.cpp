@@ -1,6 +1,10 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "common/rng.hpp"
 #include "tomo/metrics.hpp"
@@ -112,6 +116,122 @@ TEST(Streaming, OutOfOrderFramesGiveSameResult) {
   auto p2 = shuffled.finalize();
   EXPECT_DOUBLE_EQ(rmse(p1.xy, p2.xy), 0.0);
   EXPECT_DOUBLE_EQ(rmse(p1.xz, p2.xz), 0.0);
+  EXPECT_DOUBLE_EQ(rmse(p1.yz, p2.yz), 0.0);
+}
+
+// The preview back-projected from scratch out of the reconstructor's
+// current filtered sinograms: the central plane by reconstruct_row, the
+// cuts by fbp_backproject_points through the pixel centres.
+OrthoPreview from_scratch(const StreamingReconstructor& sr,
+                          const StreamingConfig& cfg) {
+  const std::size_t n = cfg.recon_width();
+  std::vector<double> us(n), vs(n), zeros(n, 0.0);
+  for (std::size_t i = 0; i < n; ++i) {
+    us[i] = 2.0 * (double(i) + 0.5) / double(n) - 1.0;
+    vs[i] = 1.0 - 2.0 * (double(i) + 0.5) / double(n);
+  }
+  OrthoPreview p{sr.reconstruct_row(cfg.n_rows / 2), Image(cfg.n_rows, n),
+                 Image(cfg.n_rows, n)};
+  for (std::size_t z = 0; z < cfg.n_rows; ++z) {
+    fbp_backproject_points(sr.filtered_sinogram(z), cfg.geo, us, zeros,
+                           p.xz.row(z));
+    fbp_backproject_points(sr.filtered_sinogram(z), cfg.geo, zeros, vs,
+                           p.yz.row(z));
+  }
+  return p;
+}
+
+bool same_bytes(const Image& a, const Image& b) {
+  return a.ny() == b.ny() && a.nx() == b.nx() &&
+         std::memcmp(a.data(), b.data(), a.size() * sizeof(float)) == 0;
+}
+
+void expect_from_scratch(const StreamingReconstructor& sr,
+                         const StreamingConfig& cfg, const std::string& what) {
+  const OrthoPreview got = sr.finalize();
+  const OrthoPreview want = from_scratch(sr, cfg);
+  EXPECT_TRUE(same_bytes(got.xy, want.xy)) << what << ": XY";
+  EXPECT_TRUE(same_bytes(got.xz, want.xz)) << what << ": XZ";
+  EXPECT_TRUE(same_bytes(got.yz, want.yz)) << what << ": YZ";
+}
+
+TEST(Streaming, IncrementalPreviewBitIdenticalToFromScratch) {
+  // finalize() copies sums built frame by frame; it must equal the
+  // from-scratch preview byte for byte whatever the arrival order, after
+  // duplicates with new content on either side of the frontier, and for a
+  // partial scan. Odd and even detector-row counts (the XY plane is row
+  // n_rows / 2), and an output width other than the detector's.
+  const std::pair<std::size_t, std::size_t> sizes[] = {{15, 0}, {16, 0},
+                                                       {16, 11}};
+  for (const auto& [n, recon_n] : sizes) {
+    SCOPED_TRACE("n_rows = n_det = " + std::to_string(n) +
+                 ", recon_n = " + std::to_string(recon_n));
+    Volume vol = shepp_logan_3d(n);
+    constexpr std::size_t kAngles = 20;
+    SyntheticScan scan(vol, kAngles);
+    StreamingConfig cfg = make_config(scan);
+    cfg.recon_n = recon_n;
+    const auto fresh = [&] {
+      StreamingReconstructor sr(cfg);
+      sr.set_reference(scan.dark, scan.flat);
+      return sr;
+    };
+    // New content for a re-sent angle: another angle's frame.
+    const auto other = [&](std::size_t a) {
+      return scan.frames[(a + 7) % kAngles];
+    };
+
+    {
+      StreamingReconstructor sr = fresh();
+      for (std::size_t a = 0; a < kAngles; ++a) {
+        sr.on_frame(a, scan.frames[a]);
+        expect_from_scratch(sr, cfg, "in order, " + std::to_string(a + 1));
+      }
+      // Duplicates behind the frontier: angles already summed.
+      sr.on_frame(3, other(3));
+      expect_from_scratch(sr, cfg, "duplicate of a summed angle");
+      sr.on_frame(kAngles - 1, other(kAngles - 1));
+      sr.on_frame(0, other(0));
+      expect_from_scratch(sr, cfg, "two more duplicates");
+    }
+    {
+      StreamingReconstructor sr = fresh();
+      Rng rng(9 + n);
+      std::vector<std::size_t> order(kAngles);
+      for (std::size_t i = 0; i < kAngles; ++i) order[i] = i;
+      for (std::size_t i = kAngles - 1; i > 0; --i) {
+        std::swap(order[i], order[std::size_t(rng.uniform_int(0, int(i)))]);
+      }
+      for (std::size_t k = 0; k < kAngles; ++k) {
+        sr.on_frame(order[k], scan.frames[order[k]]);
+        expect_from_scratch(sr, cfg, "shuffled, " + std::to_string(k + 1));
+      }
+    }
+    {
+      // Angle 0 arrives last, so the frontier stays at 0 until then.
+      StreamingReconstructor sr = fresh();
+      for (std::size_t a = 1; a < kAngles; ++a) sr.on_frame(a, scan.frames[a]);
+      sr.on_frame(5, other(5));  // ahead of the frontier: not summed yet
+      expect_from_scratch(sr, cfg, "duplicate ahead of the frontier");
+      sr.on_frame(0, scan.frames[0]);
+      expect_from_scratch(sr, cfg, "gap filled");
+      sr.on_frame(5, scan.frames[5]);  // now behind it
+      expect_from_scratch(sr, cfg, "duplicate behind the frontier");
+    }
+    {
+      // Half scans: every other angle (gaps throughout), and the first
+      // half (no gap).
+      StreamingReconstructor strided = fresh();
+      StreamingReconstructor first_half = fresh();
+      for (std::size_t a = 0; a < kAngles / 2; ++a) {
+        strided.on_frame(2 * a + 1, scan.frames[2 * a + 1]);
+        first_half.on_frame(a, scan.frames[a]);
+      }
+      EXPECT_FALSE(strided.complete());
+      expect_from_scratch(strided, cfg, "every other angle");
+      expect_from_scratch(first_half, cfg, "first half");
+    }
+  }
 }
 
 TEST(Streaming, PreviewSlicesResembleGroundTruth) {
