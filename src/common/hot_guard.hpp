@@ -1,5 +1,5 @@
 // Runtime hot-path allocation guard: the dynamic half of the hot-path
-// purity contract that tools/alsflow_hotcheck.py certifies statically.
+// purity contract; tools/alsflow_check.py (hot pack) is the static half.
 //
 // A *hot region* is a stretch of code that must not allocate: the body of
 // every lambda handed to parallel_for / parallel_for_chunks, and every
@@ -36,7 +36,7 @@
 #include <cstddef>
 #include <cstdint>
 
-// Marks a function as a hot region for tools/alsflow_hotcheck.py: the
+// Marks a function as a hot region for tools/alsflow_check.py: the
 // analyzer applies the full purity contract to its body and everything it
 // calls. Expands to the compiler's hot-placement attribute where one
 // exists; the contract itself is enforced by the tools, not the compiler.

@@ -1,5 +1,5 @@
 // Runtime lock-rank enforcement: the dynamic half of the concurrency
-// contract that tools/alsflow_lockcheck.py certifies statically.
+// contract that tools/alsflow_check.py (lock pack) certifies statically.
 //
 // Every alsflow::Mutex carries a name and a LockRank chosen by
 // architectural layer. The invariant is a strict total order:
@@ -41,7 +41,7 @@ namespace alsflow {
 // The full table — what each lock guards and which callbacks its class
 // may invoke — lives in DESIGN.md §15.
 enum class LockRank : int {
-  kUnranked = 0,  // not tracked; disallowed in src/ by lockcheck
+  kUnranked = 0,  // not tracked; disallowed in src/ by the lock pack
 
   // common — the innermost leaves.
   kLogSink = 110,          // log.cpp g_mutex: sink pointer + stderr writes

@@ -11,7 +11,7 @@
 //
 // Usage contract for alsflow code:
 //  * declare locks as alsflow::Mutex, never raw std::mutex (enforced by
-//    tools/alsflow_lint.py outside this file);
+//    tools/alsflow_check.py outside this file);
 //  * annotate every shared field with ALSFLOW_GUARDED_BY(mu_);
 //  * private helpers that expect the caller to hold the lock are named
 //    *_locked() and annotated ALSFLOW_REQUIRES(mu_);
@@ -21,13 +21,13 @@
 //    resuming thread would not own the lock. Sim-domain services lock in
 //    tight scopes between co_awaits;
 //  * every Mutex in src/ declares a LockRank and a name (enforced by
-//    tools/alsflow_lockcheck.py); the runtime rank checker in
+//    tools/alsflow_check.py); the runtime rank checker in
 //    common/lock_rank.hpp aborts with a witness when a thread acquires a
 //    lock whose rank is not strictly below everything it already holds;
 //  * never invoke a user callback (EventSink::on_event, log sinks,
 //    Ticket::fulfill, watermark probes, any std::function from outside
 //    the class) while holding a lock — snapshot under the lock, call
-//    after release (lockcheck's callback-under-lock rule).
+//    after release (alsflow_check's callback-under-lock rule).
 #pragma once
 
 #include <mutex>
@@ -79,7 +79,7 @@ namespace alsflow {
 // std::mutex with a capability annotation so fields can be GUARDED_BY it,
 // plus a name and LockRank feeding the runtime rank checker. The default
 // constructor makes an unranked (untracked) mutex for tests and scratch
-// code; every mutex in src/ must use the ranked form (lockcheck's
+// code; every mutex in src/ must use the ranked form (alsflow_check's
 // unranked-mutex rule).
 class ALSFLOW_CAPABILITY("mutex") Mutex {
  public:

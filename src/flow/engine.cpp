@@ -370,7 +370,7 @@ sim::Future<Status> FlowEngine::run_task_impl(
     // ctx outlives the task by contract: it lives in the flow-body frame,
     // which is suspended on (and therefore outlives) this coroutine. See
     // the run_task comment in engine.hpp.
-    const FlowContext& ctx,  // astcheck:allow coroutine-ref-param caller-outlives contract, engine.hpp
+    const FlowContext& ctx,  // check:allow coroutine-ref-param caller-outlives contract, engine.hpp
     std::string task_name,
     std::function<sim::Future<Status>()> body, TaskOptions options) {
   // Cross-check execution against the declared graph: a task the spec

@@ -3,7 +3,7 @@
 // The reconstruction kernels used to allocate per-iteration scratch inside
 // their parallel_for lambdas (a padded FFT row per stripe, a column buffer
 // per fft2 chunk, a filter pad per sinogram row) — exactly what the
-// hot-path purity contract (common/hot_guard.hpp, tools/alsflow_hotcheck.py)
+// hot-path purity contract (common/hot_guard.hpp, tools/alsflow_check.py)
 // forbids. WorkerScratch replaces those with one monotonically-grown buffer
 // per (thread, slot): a chunk body asks for its buffer *before* entering
 // its HotRegion, so first-touch growth happens outside the guarded stretch
@@ -15,8 +15,8 @@
 // Buffers are reused, never shrunk, and freed at thread exit; contents on
 // return are unspecified — callers must write before reading.
 //
-// hotcheck treats WorkerScratch acquisition as the one sanctioned call in
-// a hot lambda that may grow a container (DESIGN.md §16 waiver table).
+// The hot pack treats WorkerScratch acquisition as the one sanctioned call
+// in a hot lambda that may grow a container (DESIGN.md §16 waiver table).
 #pragma once
 
 #include <complex>

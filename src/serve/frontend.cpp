@@ -304,7 +304,7 @@ void Frontend::worker_loop() {
         vtime_ = tenant->pass;
         tenant->pass += 1.0 / tenant->weight;
 
-        // lockcheck:allow callback-under-lock clock is a lock-free read
+        // check:allow callback-under-lock clock is a lock-free read
         dequeued_at = config_.clock();
         const double age = dequeued_at - item.enqueued_at;
         const bool past_deadline =

@@ -346,7 +346,7 @@ Volume reconstruct_volume(const std::vector<Image>& sinograms,
     // Each body runs complete kernels: they allocate their outputs and
     // nest their own parallel_for fan-outs; the hot regions *inside*
     // those kernels hold the purity contract.
-    // hotcheck:allow hot-alloc,hot-block,hot-throw slice-level decomposition
+    // check:allow hot-alloc,hot-block,hot-throw slice-level decomposition
     reconstruct_slices(sinograms, i * step, std::min(nz, (i + 1) * step), geo,
                        n, opts, vol);
   });

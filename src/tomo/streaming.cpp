@@ -144,7 +144,7 @@ Volume StreamingReconstructor::reconstruct_all_rows() const {
   parallel::parallel_for(0, config_.n_rows, [&](std::size_t z) {
     // Row-level decomposition, same shape as reconstruct_volume: the body
     // runs a whole FBP kernel whose inner hot regions hold the contract.
-    // hotcheck:allow hot-alloc row-level decomposition
+    // check:allow hot-alloc row-level decomposition
     vol.set_slice(z, reconstruct_row(z));
   });
   return vol;

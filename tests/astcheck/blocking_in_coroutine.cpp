@@ -16,14 +16,14 @@ struct Blocking {
 
   // BAD: wall-clock sleep inside a sim coroutine.
   Future<int> bad_sleep() {
-    std::this_thread::sleep_for(  // astcheck:expect blocking-in-coroutine
+    std::this_thread::sleep_for(  // check:expect blocking-in-coroutine
         std::chrono::seconds(1));
     co_return 1;
   }
 
   // BAD: explicit mutex lock in a coroutine body.
   Future<int> bad_lock() {
-    mu_.lock();  // astcheck:expect blocking-in-coroutine
+    mu_.lock();  // check:expect blocking-in-coroutine
     co_await delay(1.0);
     mu_.unlock();
     co_return 1;
@@ -31,7 +31,7 @@ struct Blocking {
 
   // BAD: bare condition-variable wait outside any co_await expression.
   Future<int> bad_bare_wait() {
-    cv_.wait_for(mu_);  // astcheck:expect blocking-in-coroutine
+    cv_.wait_for(mu_);  // check:expect blocking-in-coroutine
     co_return 1;
   }
 

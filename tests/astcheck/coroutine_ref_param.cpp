@@ -9,14 +9,14 @@ namespace corpus {
 struct RefParam {
   // BAD: const-ref parameter dangles once the frame suspends.
   Future<int> bad_const_ref(
-      const std::string& name) {  // astcheck:expect coroutine-ref-param
+      const std::string& name) {  // check:expect coroutine-ref-param
     co_await delay(1.0);
     co_return int(name.size());
   }
 
   // BAD: string_view is a reference in disguise.
   Future<int> bad_string_view(
-      std::string_view tag) {  // astcheck:expect coroutine-ref-param
+      std::string_view tag) {  // check:expect coroutine-ref-param
     co_await delay(1.0);
     co_return int(tag.size());
   }
@@ -31,9 +31,9 @@ struct RefParam {
   int good_plain_ref(const std::string& name) { return int(name.size()); }
 
   // GOOD: a documented caller-outlives contract, exempted inline — the
-  // suppression requires a reason, mirroring lint:allow.
+  // waiver requires a reason.
   Future<int> good_suppressed(
-      const std::string& name) {  // astcheck:allow coroutine-ref-param caller outlives the coroutine by contract
+      const std::string& name) {  // check:allow coroutine-ref-param caller outlives the coroutine by contract
     co_await delay(1.0);
     co_return int(name.size());
   }

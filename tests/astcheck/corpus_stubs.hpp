@@ -1,8 +1,7 @@
 // Minimal self-contained stand-ins for the alsflow types the astcheck
-// corpus exercises, so the libclang engine can parse every case as real
-// C++20 (the token engine doesn't care). Never compiled into the library
-// and excluded from the header-hygiene check; any astcheck finding in
-// this header is a false positive.
+// corpus exercises, so every case reads as real C++20. Never compiled
+// into the library and excluded from the header-hygiene check; any
+// finding in this header is a false positive.
 #pragma once
 
 #include <coroutine>

@@ -16,7 +16,7 @@ struct RefCapture {
   void bad_submit_ref() {
     int local = 3;
     pool_.submit(
-        [&local]() { (void)local; });  // astcheck:expect escaping-ref-capture
+        [&local]() { (void)local; });  // check:expect escaping-ref-capture
   }
 
   // BAD: blanket [&] handed to register_flow outlives this frame.
@@ -24,7 +24,7 @@ struct RefCapture {
     int n = 0;
     engine_.register_flow(
         "corpus",
-        [&](int v) { return v + n; });  // astcheck:expect escaping-ref-capture
+        [&](int v) { return v + n; });  // check:expect escaping-ref-capture
   }
 
   // GOOD: value captures may escape freely.

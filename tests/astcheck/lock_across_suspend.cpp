@@ -1,7 +1,7 @@
-// Corpus: lock-across-suspend. BAD cases carry an astcheck:expect marker
+// Corpus: lock-across-suspend. BAD cases carry a check:expect marker
 // on the exact line the diagnostic anchors to; everything else must stay
 // silent (the corpus harness fails on spurious findings too). This file
-// is parsed by alsflow_astcheck, never compiled into the build.
+// is parsed by tools/alsflow_check.py, never compiled into the build.
 #include "corpus_stubs.hpp"
 
 namespace corpus {
@@ -14,7 +14,7 @@ struct LockAcrossSuspend {
   // it — the resuming thread does not own the lock.
   Future<int> bad_guard_across_await() {
     LockGuard lock(mu_);
-    co_await delay(1.0);  // astcheck:expect lock-across-suspend
+    co_await delay(1.0);  // check:expect lock-across-suspend
     co_return cached_;
   }
 
@@ -22,7 +22,7 @@ struct LockAcrossSuspend {
   Future<int> bad_nested_block() {
     UniqueLock lk{mu_};
     if (cached_ > 0) {
-      co_await delay(2.0);  // astcheck:expect lock-across-suspend
+      co_await delay(2.0);  // check:expect lock-across-suspend
     }
     co_return 0;
   }

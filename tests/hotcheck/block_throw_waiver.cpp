@@ -7,7 +7,7 @@ namespace alsflow {
 void waits(std::condition_variable& cv, UniqueLock& lk, std::size_t n) {
   parallel::parallel_for(0, n, [&](std::size_t i)
   {
-    cv.wait(lk.native());  // hotcheck:expect hot-block
+    cv.wait(lk.native());  // check:expect hot-block
     (void)i;
   });
 }
@@ -18,7 +18,7 @@ void helper_body(std::size_t i);
 void nested_fanout(std::size_t n) {
   parallel::parallel_for_chunks(0, n, [&](std::size_t b, std::size_t e)
   {
-    parallel::parallel_for(b, e, helper_body);  // hotcheck:expect hot-block
+    parallel::parallel_for(b, e, helper_body);  // check:expect hot-block
   });
 }
 
@@ -26,7 +26,7 @@ void nested_fanout(std::size_t n) {
 void throwing(std::size_t n) {
   parallel::parallel_for(0, n, [&](std::size_t i)
   {
-    if (i > n) throw std::runtime_error("bad row");  // hotcheck:expect hot-throw
+    if (i > n) throw std::runtime_error("bad row");  // check:expect hot-throw
   });
 }
 
@@ -35,8 +35,8 @@ void throwing(std::size_t n) {
 void reasonless(std::size_t n) {
   parallel::parallel_for(0, n, [&](std::size_t i)
   {
-    // hotcheck:expect hot-waiver // hotcheck:allow hot-alloc
-    std::vector<float> row(n);  // hotcheck:expect hot-alloc
+    // check:expect waiver-reason // check:allow hot-alloc
+    std::vector<float> row(n);  // check:expect hot-alloc
     row[0] = float(i);
   });
 }

@@ -46,7 +46,7 @@ void scaled_kernel(std::span<float> out, std::size_t n) {
 void decomposed(std::vector<std::vector<float>>& rows, std::size_t n) {
   parallel::parallel_for(0, rows.size(), [&](std::size_t z)
   {
-    // hotcheck:allow hot-alloc slice-level decomposition, inner kernels hold the contract
+    // check:allow hot-alloc slice-level decomposition, inner kernels hold the contract
     rows[z] = cold_setup(n);
   });
 }

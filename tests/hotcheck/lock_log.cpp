@@ -14,7 +14,7 @@ class RowAccumulator {
   void run(std::size_t n) {
     parallel::parallel_for(0, n, [&](std::size_t i)
     {
-      LockGuard g(m_);  // hotcheck:expect hot-lock
+      LockGuard g(m_);  // check:expect hot-lock
       total_ += double(i);
     });
   }
@@ -22,7 +22,7 @@ class RowAccumulator {
   void run_transitive(std::size_t n) {
     parallel::parallel_for(0, n, [&](std::size_t i)
     {
-      add(double(i));  // hotcheck:expect hot-lock
+      add(double(i));  // check:expect hot-lock
     });
   }
 
@@ -34,14 +34,14 @@ class RowAccumulator {
 void chatty(std::size_t n) {
   parallel::parallel_for(0, n, [&](std::size_t i)
   {
-    log_info("row", i);  // hotcheck:expect hot-log
+    log_info("row", i);  // check:expect hot-log
   });
 }
 
 void metered(telemetry::Counter& c, std::size_t n) {
   parallel::parallel_for(0, n, [&](std::size_t i)
   {
-    c.emit(i);  // hotcheck:expect hot-log
+    c.emit(i);  // check:expect hot-log
   });
 }
 

@@ -8,7 +8,7 @@ namespace alsflow {
 void fresh_vector(std::size_t n) {
   parallel::parallel_for(0, n, [&](std::size_t i)
   {
-    std::vector<float> row(n);  // hotcheck:expect hot-alloc
+    std::vector<float> row(n);  // check:expect hot-alloc
     row[0] = float(i);
   });
 }
@@ -18,7 +18,7 @@ void growing_member(std::vector<float>& out, std::size_t n) {
   parallel::parallel_for_chunks(0, n, [&](std::size_t b, std::size_t e)
   {
     for (std::size_t i = b; i < e; ++i) {
-      out.push_back(float(i));  // hotcheck:expect hot-alloc
+      out.push_back(float(i));  // check:expect hot-alloc
     }
   });
 }
@@ -30,13 +30,13 @@ void fill_scratch(std::vector<float>& scratch, std::size_t n) {
 void transitive_alloc(std::vector<float>& scratch, std::size_t n) {
   parallel::parallel_for(0, n, [&](std::size_t i)
   {
-    fill_scratch(scratch, i);  // hotcheck:expect hot-alloc
+    fill_scratch(scratch, i);  // check:expect hot-alloc
   });
 }
 
 // ALSFLOW_HOT functions are hot regions in their own right.
 ALSFLOW_HOT float labelled(std::size_t n) {
-  std::string label = std::to_string(n);  // hotcheck:expect hot-alloc
+  std::string label = std::to_string(n);  // check:expect hot-alloc
   return float(label.size());
 }
 
@@ -44,7 +44,7 @@ ALSFLOW_HOT float labelled(std::size_t n) {
 void named_body(std::size_t n) {
   auto body = [&](std::size_t i)
   {
-    float* p = new float[4];  // hotcheck:expect hot-alloc
+    float* p = new float[4];  // check:expect hot-alloc
     p[0] = float(i);
     delete[] p;
   };

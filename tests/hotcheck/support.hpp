@@ -1,8 +1,7 @@
-// Minimal stand-ins so the hotcheck corpus parses standalone under both
-// frontends (token and libclang) without pulling in the real headers.
-// Shapes mirror src/parallel/thread_pool.hpp, src/parallel/scratch.hpp and
-// src/common/hot_guard.hpp; this copy only keeps libclang's AST
-// well-formed — the analysis itself is name-based.
+// Minimal stand-ins so the hotcheck corpus reads standalone without
+// pulling in the real headers. Shapes mirror src/parallel/thread_pool.hpp,
+// src/parallel/scratch.hpp and src/common/hot_guard.hpp; the analysis
+// itself is name-based.
 #pragma once
 
 #include <complex>

@@ -19,28 +19,28 @@ class Server {
  public:
   void finish(Ticket* t) {
     LockGuard g(mu_);
-    t->fulfill(0);  // lockcheck:expect callback-under-lock
+    t->fulfill(0);  // check:expect callback-under-lock
   }
 
   void notify() {
     LockGuard g(mu_);
-    on_done_();  // lockcheck:expect callback-under-lock
+    on_done_();  // check:expect callback-under-lock
   }
 
   void account() {
     LockGuard g(mu_);
-    telemetry::global().metrics().counter("requests").add();  // lockcheck:expect emit-under-lock
+    telemetry::global().metrics().counter("requests").add();  // check:expect emit-under-lock
   }
 
   void depth_metric() {
     LockGuard g(mu_);
-    bump_depth_gauge(double(depth_));  // lockcheck:expect emit-under-lock
+    bump_depth_gauge(double(depth_));  // check:expect emit-under-lock
   }
 
   // Held via the REQUIRES contract rather than a guard in this body:
   // still a callback under the lock.
   void poke_locked() ALSFLOW_REQUIRES(mu_) {
-    on_done_();  // lockcheck:expect callback-under-lock
+    on_done_();  // check:expect callback-under-lock
   }
 
  private:

@@ -24,7 +24,7 @@ class MonitorSide {
   // but combined with record() above it closes the cycle.
   void sweep(TransferSide& xfer) {
     LockGuard g(m_);
-    LockGuard h(xfer.mu_);  // lockcheck:expect lock-cycle
+    LockGuard h(xfer.mu_);  // check:expect lock-cycle
   }
 
   Mutex m_{LockRank::kHealthMonitor, "monitor.health"};
@@ -32,7 +32,7 @@ class MonitorSide {
 
 void TransferSide::record(MonitorSide& mon) {
   LockGuard g(mu_);
-  LockGuard h(mon.m_);  // lockcheck:expect rank-inversion
+  LockGuard h(mon.m_);  // check:expect rank-inversion
 }
 
 // Recursive acquisition: same mutex taken twice on one thread. The
@@ -42,7 +42,7 @@ class Reentrant {
  public:
   void outer() {
     LockGuard g(m_);
-    inner();  // lockcheck:expect rank-inversion
+    inner();  // check:expect rank-inversion
   }
   void inner() { LockGuard g(m_); }
 

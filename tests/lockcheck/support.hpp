@@ -1,8 +1,7 @@
-// Minimal stand-ins so the lockcheck corpus parses standalone under both
-// frontends (token and libclang) without pulling in the real headers.
-// The rank names and values mirror src/common/lock_rank.hpp (the tool
-// loads the authoritative table from the --root tree; this copy only
-// keeps libclang's AST well-formed).
+// Minimal stand-ins so the lockcheck corpus reads standalone without
+// pulling in the real headers. The rank names and values mirror
+// src/common/lock_rank.hpp (the tool loads the authoritative table from
+// the --root tree).
 #pragma once
 
 #include <functional>

@@ -10,7 +10,7 @@ class Orphan {
   void touch() { LockGuard g(m_); }
 
  private:
-  Mutex m_;  // lockcheck:expect unranked-mutex
+  Mutex m_;  // check:expect unranked-mutex
 };
 
 }  // namespace alsflow

@@ -1,7 +1,7 @@
 // Runtime hot-path allocation guard: the dynamic half of the hot-path
-// purity contract (tools/alsflow_hotcheck.py is the static half; both
-// define a hot region the same way — parallel_for bodies and ALSFLOW_HOT
-// functions — and must agree).
+// purity contract (tools/alsflow_check.py --pack hot is the static half;
+// both define a hot region the same way — parallel_for bodies and
+// ALSFLOW_HOT functions — and must agree).
 //
 // Death tests run in "threadsafe" style: the statement re-executes in a
 // fresh process, so set_enforcing(true) inside the test body applies in

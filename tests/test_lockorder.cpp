@@ -1,6 +1,6 @@
 // Runtime lock-rank enforcement: the dynamic half of the concurrency
-// contract (tools/alsflow_lockcheck.py is the static half; both read the
-// same LockRank table in common/lock_rank.hpp and must agree).
+// contract (tools/alsflow_check.py --pack lock is the static half; both
+// read the same LockRank table in common/lock_rank.hpp and must agree).
 //
 // Death tests run in "threadsafe" style: the statement re-executes in a
 // fresh process, so set_enforcing(true) inside the test body applies in
@@ -148,7 +148,7 @@ TEST_F(LockOrderTest, EnforcementOffRecordsNothingAndNeverAborts) {
 }
 
 // ---------------------------------------------------------------------------
-// Regression: fixed callback-under-lock sites (lockcheck's witness list)
+// Regression: fixed callback-under-lock sites (the lock pack's witness list)
 // ---------------------------------------------------------------------------
 
 // log.cpp once invoked the swappable sink while holding its own mutex, so

@@ -18,9 +18,10 @@ For each metric present in both files the relative delta
 (fresh - base) / base is computed. Whether an increase is a regression is
 decided per metric name: *_time, *latency*, *makespan*, *wait*, *overhead*,
 *_s / _ms / _ns suffixes are lower-is-better; *completed*, *goodput*,
-*throughput*, *_ops*, *rate* are higher-is-better; anything else (counts,
-ratios like makespan_inflation) is informational only and never fails the
-run. Metrics present on one side only are reported as added/removed but do
+*throughput*, *_ops*, *rate* are higher-is-better; anything else (counts
+like duplicate_completions, ratios like latency_inflation) is informational
+only and never fails the run. The chaos bench's worst_delay_s is an *_s
+metric, so its gate covers it. Metrics present on one side only are reported as added/removed but do
 not fail the comparison.
 
 Exit status: 0 within threshold, 1 regression(s), 2 usage / parse error
@@ -54,6 +55,7 @@ HIGHER_IS_BETTER = [
 # compared for the report but never gated.
 INFORMATIONAL = [
     r"inflation", r"^scans$", r"interval", r"iterations$", r"^seed",
+    r"duplicate",
 ]
 
 
@@ -256,7 +258,9 @@ GEN_BASE = {
     "baseline": {"completed": 8, "makespan_s": 1747.5,
                  "mean_latency_s": 487.8, "p95_latency_s": 488.5},
     "scenarios": {"facility_outage": {"completed": 8, "makespan_s": 1747.5,
-                                      "latency_inflation": 1.59}},
+                                      "worst_delay_s": 818.0,
+                                      "latency_inflation": 1.59,
+                                      "duplicate_completions": 0}},
 }
 
 
@@ -293,6 +297,10 @@ def selftest():
           classify("scenarios.x.completed") == "higher")
     check("inflation info",
           classify("scenarios.x.latency_inflation") == "info")
+    check("worst delay lower",
+          classify("scenarios.x.worst_delay_s") == "lower")
+    check("duplicates info",
+          classify("scenarios.x.duplicate_completions") == "info")
     check("real_time lower",
           classify("BM_Fbp/64/real_time") == "lower")
 
@@ -327,6 +335,20 @@ def selftest():
     _, reg = compare(extract_metrics(GEN_BASE, "real_time"),
                      extract_metrics(inflated, "real_time"), 0.25)
     check("inflation never gates", not reg)
+    delayed = patched(GEN_BASE,
+                      ["scenarios", "facility_outage", "worst_delay_s"],
+                      818.0 * 1.5)
+    _, reg = compare(extract_metrics(GEN_BASE, "real_time"),
+                     extract_metrics(delayed, "real_time"), 0.25)
+    check("worst delay regression",
+          [r["metric"] for r in reg]
+          == ["scenarios.facility_outage.worst_delay_s"])
+    duplicated = patched(GEN_BASE,
+                         ["scenarios", "facility_outage",
+                          "duplicate_completions"], 4)
+    _, reg = compare(extract_metrics(GEN_BASE, "real_time"),
+                     extract_metrics(duplicated, "real_time"), 0.25)
+    check("duplicates never gate", not reg)
 
     # Added/removed metrics never fail; zero baseline handled.
     rows, reg = compare({"a.makespan_s": 1.0},
