@@ -15,18 +15,18 @@
 //     stack of region names. It is compiled in every build (two
 //     thread_local writes per region) so ThreadPool can propagate the
 //     submitting thread's region onto workers unconditionally.
-//   - Under the ALSFLOW_HOT_GUARD build define (set automatically for
-//     Debug and sanitizer configurations, or -DALSFLOW_HOT_GUARD=ON),
-//     hot_guard.cpp additionally replaces the global operator new/delete
-//     family with counting hooks. An allocation while this thread's
-//     hot-region depth is non-zero increments the process-wide counters
-//     and, when enforcing, aborts with a witness: the allocation size,
-//     the region-name stack, and a backtrace.
-//   - Enforcement defaults on exactly when the hooks are compiled; the
-//     ALSFLOW_HOT_GUARD environment variable (0/1) or set_enforcing()
-//     overrides either way, so a guard build can count without aborting
-//     (the zero-bytes-per-iteration regression tests do this first, then
-//     re-run enforcing).
+//   - The counting operator new/delete hooks are not part of this
+//     library: they live in src/alloc_hooks.cpp, one object that every
+//     test, bench and example links in every build type. The libraries,
+//     and any program that links only them, keep the stock allocator.
+//     Each operator new reports its size through detail::note_alloc; an
+//     allocation while this thread's hot-region depth is non-zero
+//     increments the process-wide counters and, when enforcing, aborts
+//     with a witness: the allocation size, the region-name stack, and a
+//     backtrace.
+//   - Enforcement is on from start-up; set_enforcing() turns it off, so
+//     the zero-bytes-per-iteration regression tests can count without
+//     aborting.
 //
 // Scratch discipline: kernels acquire parallel::WorkerScratch buffers
 // *before* entering their HotRegion, so first-touch growth is legal and
@@ -52,19 +52,12 @@ namespace detail {
 // Out-of-line implementations; see hot_guard.cpp.
 void enter_impl(const char* name) noexcept;
 void exit_impl() noexcept;
+// Called by the allocation hooks with every operator new's requested size.
+void note_alloc(std::size_t bytes) noexcept;
 }  // namespace detail
 
-// Were the counting operator new/delete hooks compiled into this binary?
-constexpr bool hooks_compiled() noexcept {
-#ifdef ALSFLOW_HOT_GUARD
-  return true;
-#else
-  return false;
-#endif
-}
-
-// Is alloc-in-hot-region aborting right now? (Counters always count when
-// the hooks are compiled, enforcing or not.)
+// Is alloc-in-hot-region aborting right now? (The counters count either
+// way.)
 bool enforcing() noexcept;
 // Toggle enforcement (tests; call with no hot region entered).
 void set_enforcing(bool on) noexcept;
@@ -77,9 +70,14 @@ const char* current_region() noexcept;
 const char* region_name(std::size_t i) noexcept;
 
 // Process-wide totals of allocations observed inside hot regions since
-// start-up. Always zero when !hooks_compiled().
+// start-up.
 std::uint64_t hot_alloc_count() noexcept;
 std::uint64_t hot_alloc_bytes() noexcept;
+
+// This thread's live heap allocations: operator new calls minus operator
+// delete calls on non-null pointers. Defined by the allocation hooks, not
+// by this library, so only a binary that links them can call it.
+std::int64_t live_allocations() noexcept;
 
 // RAII hot-region marker. `name` must outlive the region (string
 // literals; the pool passes through the submitter's literal).

@@ -26,13 +26,6 @@ sim::Future<Result<JobInfo>> SfApiClient::job_status(JobId id) {
   co_return cluster_.info(id);
 }
 
-sim::Future<Status> SfApiClient::cancel_job(JobId id) {
-  co_await authenticate();
-  ++api_calls_;
-  co_await sim::delay(eng_, tuning_.call_latency);
-  co_return cluster_.cancel(id);
-}
-
 sim::Future<JobInfo> SfApiClient::wait_job(JobId id) {
   co_return co_await cluster_.wait(id);
 }

@@ -39,9 +39,6 @@ class SfApiClient {
   // Poll a job's state.
   sim::Future<Result<JobInfo>> job_status(JobId id);
 
-  // Cancel (scancel) a job.
-  sim::Future<Status> cancel_job(JobId id);
-
   // Block until the job reaches a terminal state (poll-free convenience
   // used by flows; the real client long-polls).
   sim::Future<JobInfo> wait_job(JobId id);

@@ -14,11 +14,6 @@ HealthMonitor::HealthMonitor(Config cfg)
 
 HealthMonitor::~HealthMonitor() { uninstall(); }
 
-void HealthMonitor::add_slo(SloSpec spec) {
-  LockGuard lock(m_);
-  slos_.add(std::move(spec));
-}
-
 void HealthMonitor::add_default_slos(const DefaultSloConfig& cfg) {
   LockGuard lock(m_);
   for (SloSpec& spec : default_slos(cfg)) slos_.add(std::move(spec));

@@ -53,7 +53,6 @@ class HealthMonitor final : public telemetry::EventSink {
   HealthMonitor& operator=(const HealthMonitor&) = delete;
 
   // Declarative setup (before install()).
-  void add_slo(SloSpec spec);
   void add_default_slos(const DefaultSloConfig& cfg = {});
   // Watermark probe: `probe()` is re-read whenever an event arrives; a
   // value below the highest seen raises an immediate Page attributed to

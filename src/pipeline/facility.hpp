@@ -129,11 +129,8 @@ class Facility {
   hpc::WorkstationAdapter& workstation() { return workstation_; }
   hpc::NerscSlurmAdapter& nersc_adapter() { return nersc_; }
   hpc::AlcfGlobusComputeAdapter& alcf_adapter() { return alcf_; }
-  hpc::CloudBurstAdapter& cloud_adapter() { return cloud_; }
-  storage::StorageEndpoint& cloud_s3() { return cloud_s3_; }
   net::Link& esnet_nersc() { return esnet_nersc_; }
   net::Link& esnet_alcf() { return esnet_alcf_; }
-  net::Link& esnet_cloud() { return esnet_cloud_; }
   net::Link& lan() { return lan_; }
   sched::FacilityDirectory& directory() { return directory_; }
   sched::FederatedScheduler& scheduler() { return scheduler_; }

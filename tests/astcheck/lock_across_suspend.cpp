@@ -43,6 +43,16 @@ struct LockAcrossSuspend {
     LockGuard lock(mu_);
     return cached_;
   }
+
+  // BAD, after a string literal continued by a backslash-newline: the
+  // blanked literal keeps its newline, so the finding keeps its line.
+  Future<int> bad_after_line_continuation() {
+    const char* label = "a\
+b";
+    LockGuard lock(mu_);
+    co_await delay(1.0);  // check:expect lock-across-suspend
+    co_return int(label[0]);
+  }
 };
 
 }  // namespace corpus

@@ -1,7 +1,8 @@
 // Corpus: the waiver contract, the same for every pack. A waiver covers
 // its own line and the next one, waives only the rules it names, and must
 // give a reason; a reasonless waiver waives nothing and is reported as
-// waiver-reason.
+// waiver-reason. A waiver naming a rule no pack has waives nothing and is
+// reported as waiver-unknown.
 #include "support.hpp"
 
 namespace alsflow {
@@ -32,6 +33,14 @@ class Waivers {
   double no_reason() {
     LockGuard g(mu_);
     // check:expect waiver-reason // check:allow callback-under-lock
+    return clock_();  // check:expect callback-under-lock
+  }
+
+  // BAD: a waiver naming no known rule waives nothing and is itself a
+  // finding.
+  double unknown_rule() {
+    LockGuard g(mu_);
+    // check:expect waiver-unknown // check:allow callback-under-lok the clock is a lock-free read
     return clock_();  // check:expect callback-under-lock
   }
 

@@ -10,10 +10,9 @@
 // The steady-state suite at the bottom pins the hoisted kernels: after one
 // warm-up run grows the worker arenas, a second run of every
 // reconstruction kernel must observe *zero* new allocations inside hot
-// regions — the regression test for the per-iteration scratch this PR
-// removed. Counter tests are skipped when the counting hooks are not
-// compiled in (plain release builds); the Debug/sanitizer CI legs and the
-// -DALSFLOW_HOT_GUARD=ON build run them.
+// regions — the regression test for per-iteration scratch. Every test
+// binary links the counting hooks (src/alloc_hooks.cpp) in every build
+// type, so every case here runs wherever the suite does.
 #include <gtest/gtest.h>
 
 #include <complex>
@@ -121,23 +120,16 @@ TEST_F(HotGuardTest, WorkerScratchReturnsExactSpanAndReuses) {
   EXPECT_EQ(d.size(), 17u);
 }
 
-// With enforcement off (or the hooks absent), allocating inside a region
-// is the unguarded fast path: it must simply work.
+// With enforcement off, allocating inside a region is the unguarded fast
+// path: it must simply work.
 TEST_F(HotGuardTest, GuardOffFastPathAllocatesNormally) {
   hotguard::HotRegion region("test.fastpath");
   auto p = std::make_unique<int>(41);
   *p += 1;
   EXPECT_EQ(*p, 42);
-  if (!hotguard::hooks_compiled()) {
-    EXPECT_EQ(hotguard::hot_alloc_count(), 0u);
-    EXPECT_EQ(hotguard::hot_alloc_bytes(), 0u);
-  }
 }
 
 TEST_F(HotGuardTest, CountersObserveWithoutAbortingWhenNotEnforcing) {
-  if (!hotguard::hooks_compiled()) {
-    GTEST_SKIP() << "counting hooks not compiled into this build";
-  }
   const auto count0 = hotguard::hot_alloc_count();
   const auto bytes0 = hotguard::hot_alloc_bytes();
   {
@@ -154,10 +146,23 @@ TEST_F(HotGuardTest, CountersObserveWithoutAbortingWhenNotEnforcing) {
   EXPECT_GE(hotguard::hot_alloc_bytes(), bytes0 + 128 + 64);
 }
 
+// The hooks count this thread's live allocations: each operator new adds
+// one, each operator delete of a non-null pointer takes one away. (Direct
+// calls, which the compiler may not elide as it may a new-expression.)
+TEST_F(HotGuardTest, LiveAllocationsCountNewMinusDelete) {
+  const std::int64_t before = hotguard::live_allocations();
+  void* p = ::operator new(16);
+  void* q = ::operator new[](32, std::nothrow);
+  ASSERT_NE(q, nullptr);
+  EXPECT_EQ(hotguard::live_allocations(), before + 2);
+  ::operator delete(p);
+  ::operator delete(nullptr);
+  EXPECT_EQ(hotguard::live_allocations(), before + 1);
+  ::operator delete[](q, std::nothrow);
+  EXPECT_EQ(hotguard::live_allocations(), before);
+}
+
 TEST_F(HotGuardTest, AllocInsideHotRegionAbortsWithWitness) {
-  if (!hotguard::hooks_compiled()) {
-    GTEST_SKIP() << "counting hooks not compiled into this build";
-  }
   testing::FLAGS_gtest_death_test_style = "threadsafe";
   EXPECT_DEATH(
       {
@@ -170,9 +175,6 @@ TEST_F(HotGuardTest, AllocInsideHotRegionAbortsWithWitness) {
 }
 
 TEST_F(HotGuardTest, NestedRegionWitnessListsWholeStack) {
-  if (!hotguard::hooks_compiled()) {
-    GTEST_SKIP() << "counting hooks not compiled into this build";
-  }
   testing::FLAGS_gtest_death_test_style = "threadsafe";
   EXPECT_DEATH(
       {
@@ -230,9 +232,6 @@ TEST_F(HotGuardTest, Fft2ParallelMatchesSerialReferenceExactly) {
 // hoisting bought; a relapse (per-iteration vector, per-call trig table)
 // shows up here as a counter delta even when enforcement is off.
 TEST_F(HotGuardTest, HoistedKernelsRunAllocationFreeInSteadyState) {
-  if (!hotguard::hooks_compiled()) {
-    GTEST_SKIP() << "counting hooks not compiled into this build";
-  }
   constexpr std::size_t kN = 64;
   const tomo::Geometry geo{90, kN, -1.0};
   const tomo::Image phantom = tomo::shepp_logan(kN);

@@ -1,10 +1,7 @@
 // Integration tests: the full multi-facility world, end to end.
 #include <gtest/gtest.h>
 
-#if defined(__GLIBC__)
-#include <malloc.h>
-#endif
-
+#include "common/hot_guard.hpp"
 #include "data/multiscale.hpp"
 #include "pipeline/campaign.hpp"
 #include "pipeline/facility.hpp"
@@ -279,8 +276,9 @@ TEST(Facility, TeardownFreesEveryCoroutineFrame) {
   // Consumers are channel sinks and periodic work is timer chains, so a
   // world with background load and pruning frees everything it built when
   // it is destroyed. The horizon falls between prune runs: only work in
-  // flight at the horizon may strand a frame. (Under ASan the allocator is
-  // ASan's, and LeakSanitizer makes this check instead.)
+  // flight at the horizon may strand a frame. The allocation hooks count
+  // this thread's live operator new allocations, coroutine frames
+  // included, the same way in every build, sanitizers too.
   auto build_and_destroy = [] {
     Facility facility;
     facility.start_background_load(hours(2));
@@ -292,11 +290,9 @@ TEST(Facility, TeardownFreesEveryCoroutineFrame) {
               1u);
   };
   build_and_destroy();  // warm up lazily built process-wide state
-#if defined(__GLIBC__) && !defined(__SANITIZE_ADDRESS__)
-  const std::size_t before = mallinfo2().uordblks;
+  const std::int64_t before = hotguard::live_allocations();
   build_and_destroy();
-  EXPECT_EQ(mallinfo2().uordblks, before);
-#endif
+  EXPECT_EQ(hotguard::live_allocations(), before);
 }
 
 TEST(Facility, PruneIncidentFailEarlyVsNaive) {

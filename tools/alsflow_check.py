@@ -22,8 +22,9 @@ table of function and lambda bodies) and runs four rule packs over it:
 Waivers are the same for every pack. `// check:allow <rule>[,<rule>...]
 <reason>` covers its own line and the next one. The reason is required: a
 waiver without one waives nothing and is itself a finding, waiver-reason,
-reported by the packs whose rules it names. ALLOW below exempts whole
-files. Corpora mark every expected finding with
+reported by the packs whose rules it names. A waiver naming a rule that no
+pack has is a finding too, waiver-unknown, reported by every pack. ALLOW
+below exempts whole files. Corpora mark every expected finding with
 `// check:expect <rule>[,<rule>...]`.
 
 Modes: scan <root>/src (default); --corpus DIR, where every expectation
@@ -43,6 +44,7 @@ from pathlib import Path
 WAIVER = re.compile(r"//\s*check:allow\s+([\w,-]+)(?:[ \t]+(\S.*))?")
 EXPECT = re.compile(r"//\s*check:expect\s+([\w,-]+)")
 WAIVER_RULE = "waiver-reason"
+WAIVER_UNKNOWN = "waiver-unknown"
 
 # Files (relative to the scan root) exempt from one rule, and why. Prefer a
 # line waiver; keep this table short and justified.
@@ -125,8 +127,9 @@ def strip_comments(text, keep_strings=False):
                 state = "code"
             out.append(c if c == "\n" else " ")
         else:
-            if c == "\\":
-                out.append(c + nxt if keep_strings else "  ")
+            if c == "\\":  # an escape; a backslash-newline keeps its newline
+                out.append(c + nxt if keep_strings
+                           else " \n" if nxt == "\n" else "  ")
                 i += 2
                 continue
             if c == state:
@@ -2363,6 +2366,7 @@ def analyze(files, packs, ranks=None):
     """Run `packs` over {relpath: text}; waivers and ALLOW applied."""
     prog = Program(files, ranks or {})
     rules = {rule for pack in packs for rule in PACKS[pack][0]}
+    known = {rule for pack_rules, _ in PACKS.values() for rule in pack_rules}
     out = []
     for src in prog.srcs:
         for line, (named, reason) in src.waivers.items():
@@ -2371,6 +2375,12 @@ def analyze(files, packs, ranks=None):
                     src.path, line, WAIVER_RULE,
                     "check:allow without a reason waives nothing — say "
                     "why: `// check:allow <rules> <reason>`"))
+            if named - known:
+                out.append(Finding(
+                    src.path, line, WAIVER_UNKNOWN,
+                    "check:allow names an unknown rule ("
+                    f"{', '.join(sorted(named - known))}), which waives "
+                    "nothing"))
     waivers = {src.path: src.waivers for src in prog.srcs}
     for pack in packs:
         for f in PACKS[pack][1](prog):
@@ -2999,9 +3009,10 @@ LINT_GOOD = [
 # selector, unselected emit, ghost stage component). The bad capture tree
 # captures a vector by value at a parallel_for site (a parameter) and one
 # declared as a local (multi-line intro), and pins the waiver contract: a
-# waiver naming another rule and a reasonless one both waive nothing. The
-# good trees are fully wired, capture by reference or scalars, copy in a
-# non-pool lambda, and waive with a reason (trailing and on the line above).
+# waiver naming another rule, a reasonless one and one naming an unknown
+# rule all waive nothing. The good trees are fully wired, capture by
+# reference or scalars, copy in a non-pool lambda, and waive with a reason
+# (trailing and on the line above).
 LINT_TREES = [
     {"src/net/link.cpp":
         'void f() { ev.component = "net"; ev.kind = "delivery"; }\n'
@@ -3047,6 +3058,12 @@ LINT_TREES = [
         '    use(table[i]);\n'
         '  });\n'
         '  // check:expect waiver-reason // check:allow vector-value-capture\n'
+        '  parallel::parallel_for(0, n, [table](std::size_t i) {'
+        '  // check:expect vector-value-capture\n'
+        '    use(table[i]);\n'
+        '  });\n'
+        '  // check:expect waiver-unknown'
+        ' // check:allow vector-value-captur small and immutable\n'
         '  parallel::parallel_for(0, n, [table](std::size_t i) {'
         '  // check:expect vector-value-capture\n'
         '    use(table[i]);\n'
