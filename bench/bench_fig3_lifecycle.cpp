@@ -49,7 +49,7 @@ int main() {
               facility.globus().history().size());
   std::printf("  esnet->NERSC mean throughput: %.2f Gbps of %g Gbps\n",
               facility.esnet_nersc().mean_throughput() * 8.0 / 1e9,
-              facility.config().esnet_nersc_gbps);
+              facility.esnet_nersc().bandwidth() * 8.0 / 1e9);
   std::printf("  streaming previews:   %zu (max latency %.1f s)\n\n",
               facility.streaming().previews_delivered(),
               report.streaming_latency.max);

@@ -10,7 +10,6 @@
 
 #include <cmath>
 #include <complex>
-#include <cstring>
 #include <string>
 #include <vector>
 
@@ -196,27 +195,15 @@ BENCHMARK(BM_FbpBackproject)->Arg(256)->UseRealTime();
 
 }  // namespace
 
-// Like BENCHMARK_MAIN(), but defaults --benchmark_out to a JSON file so
-// every run leaves a machine-readable record (BENCH_recon_kernels.json)
-// for cross-machine speedup comparisons. Explicit flags still win.
+// Like BENCHMARK_MAIN(), plus the `pool_threads` context. No default
+// output file: pass --benchmark_out= to record a run, so a filtered run
+// never replaces the committed baseline.
 int main(int argc, char** argv) {
-  bool has_out = false;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strstr(argv[i], "--benchmark_out") != nullptr) has_out = true;
-  }
-  std::vector<char*> args(argv, argv + argc);
-  std::string out_flag = "--benchmark_out=BENCH_recon_kernels.json";
-  std::string fmt_flag = "--benchmark_out_format=json";
-  if (!has_out) {
-    args.push_back(out_flag.data());
-    args.push_back(fmt_flag.data());
-  }
-  int new_argc = int(args.size());
-  benchmark::Initialize(&new_argc, args.data());
+  benchmark::Initialize(&argc, argv);
   benchmark::AddCustomContext(
       "pool_threads",
       std::to_string(alsflow::parallel::ThreadPool::global().size()));
-  if (benchmark::ReportUnrecognizedArguments(new_argc, args.data())) return 1;
+  if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
   benchmark::RunSpecifiedBenchmarks();
   benchmark::Shutdown();
   return 0;

@@ -21,7 +21,7 @@ namespace alsflow::chaos {
 enum class FaultKind {
   // Compute facility down for a window: the adapter holds submissions
   // (queue wait, not failure) until health returns. target = facility name
-  // ("nersc", "alcf", "workstation").
+  // ("nersc", "alcf", "cloud").
   FacilityOutage,
   // WAN path running below capacity. target = link name; magnitude = the
   // bandwidth factor during the window (0.25 = quarter rate).

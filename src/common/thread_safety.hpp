@@ -34,6 +34,15 @@
 
 #include "common/lock_rank.hpp"
 
+// ThreadSanitizer builds (GCC, then clang) annotate ~Mutex.
+#if defined(__SANITIZE_THREAD__)
+#include <sanitizer/tsan_interface.h>
+#elif defined(__has_feature)
+#if __has_feature(thread_sanitizer)
+#include <sanitizer/tsan_interface.h>
+#endif
+#endif
+
 // Annotation spellings. __has_attribute guards against ancient clangs;
 // GCC and MSVC take the empty expansion.
 #if defined(__clang__) && defined(__has_attribute)
@@ -87,6 +96,20 @@ class ALSFLOW_CAPABILITY("mutex") Mutex {
   Mutex(LockRank rank, const char* name) : rank_(rank), name_(name) {}
   Mutex(const Mutex&) = delete;
   Mutex& operator=(const Mutex&) = delete;
+
+  // std::mutex's destructor never calls pthread_mutex_destroy, so TSan
+  // would keep a dead mutex's lock-order history and pin it on the next
+  // mutex built at the same address (a reused stack slot or heap block),
+  // reporting inversions between locks that never lived at the same time.
+  ~Mutex() {
+#if defined(__SANITIZE_THREAD__)
+    __tsan_mutex_destroy(&m_, 0);
+#elif defined(__has_feature)
+#if __has_feature(thread_sanitizer)
+    __tsan_mutex_destroy(&m_, 0);
+#endif
+#endif
+  }
 
   void lock() ALSFLOW_ACQUIRE() {
     // Check before blocking: a rank inversion caught here aborts with a

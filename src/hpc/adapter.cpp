@@ -177,21 +177,4 @@ sim::Future<ReconJobOutcome> AlcfGlobusComputeAdapter::run_impl(ReconJob job) {
   co_return outcome;
 }
 
-sim::Future<ReconJobOutcome> WorkstationAdapter::run_impl(ReconJob job) {
-  ReconJobOutcome outcome;
-  outcome.facility = facility();
-  outcome.submitted_at = eng_.now();
-  co_await ensure_available();
-  co_await slot_.acquire();
-  outcome.started_at = eng_.now();
-  co_await sim::delay(
-      eng_, job.staging_seconds +
-                model_.recon_seconds(Device::Workstation, job.algorithm,
-                                     job.nz, job.n, job.n_iterations));
-  outcome.finished_at = eng_.now();
-  slot_.release();
-  record_job_telemetry(job, outcome);
-  co_return outcome;
-}
-
 }  // namespace alsflow::hpc

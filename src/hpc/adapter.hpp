@@ -3,9 +3,11 @@
 // Flows describe *what* to reconstruct; facility adapters own *how*: NERSC
 // runs Slurm jobs through SFAPI (realtime QOS, exclusive CPU node, podman
 // container startup), ALCF executes functions through a Globus Compute
-// pilot endpoint, and the Workstation adapter reproduces the historical
-// local-processing baseline. Identical analysis code, facility-specific
-// submission — the paper's core portability claim.
+// pilot endpoint, and the cloud adapter (hpc/cloud.hpp) boots an instance
+// per job. Identical analysis code, facility-specific submission — the
+// paper's core portability claim. sched::Sites builds one of each; the
+// historical workstation baseline is priced through ComputeModel's
+// Device::Workstation, not an adapter.
 #pragma once
 
 #include <cstddef>
@@ -19,7 +21,6 @@
 #include "hpc/compute_model.hpp"
 #include "hpc/globus_compute.hpp"
 #include "hpc/sfapi.hpp"
-#include "sim/resources.hpp"
 #include "sim/task.hpp"
 
 namespace alsflow::hpc {
@@ -174,23 +175,6 @@ class AlcfGlobusComputeAdapter : public ComputeAdapter {
   sim::Engine& eng_;
   GlobusComputeEndpoint& endpoint_;
   ComputeModel model_;
-};
-
-// Historical baseline: one shared beamline workstation, strictly serial.
-class WorkstationAdapter : public ComputeAdapter {
- public:
-  explicit WorkstationAdapter(sim::Engine& eng, ComputeModel model)
-      : eng_(eng), model_(model), slot_(1) {}
-
-  std::string facility() const override { return "workstation"; }
-
- protected:
-  sim::Future<ReconJobOutcome> run_impl(ReconJob job) override;
-
- private:
-  sim::Engine& eng_;
-  ComputeModel model_;
-  sim::Semaphore slot_;
 };
 
 }  // namespace alsflow::hpc

@@ -20,37 +20,30 @@ Facility::Facility(FacilityConfig config)
       cfs_("nersc-cfs", storage::Tier::Cfs, 2000 * TiB),
       eagle_("alcf-eagle", storage::Tier::Eagle, 2000 * TiB),
       hpss_("nersc-hpss", storage::Tier::Hpss, 100000 * TiB),
-      lan_(eng_, "beamline-lan", gbps(config.lan_gbps), 0.001),
-      esnet_nersc_(eng_, "esnet-nersc", gbps(config.esnet_nersc_gbps), 0.03),
-      esnet_alcf_(eng_, "esnet-alcf", gbps(config.esnet_alcf_gbps), 0.05),
-      zmq_back_(eng_, "zmq-return", gbps(config.esnet_nersc_gbps), 0.03),
+      // Paper: 10 Gbps beamline NIC; the ZeroMQ preview return shares
+      // the NERSC path's 10 Gbps.
+      lan_(eng_, "beamline-lan", gbps(10.0), 0.001),
+      zmq_back_(eng_, "zmq-return", gbps(10.0), 0.03),
       globus_(eng_, config.seed ^ 0x5eed),
-      perlmutter_(eng_, "perlmutter", config.perlmutter_nodes),
-      sfapi_(eng_, perlmutter_),
-      nersc_(eng_, sfapi_, config.compute),
-      polaris_(eng_, "polaris", config.polaris_workers),
-      alcf_(eng_, polaris_, config.compute),
-      workstation_(eng_, config.compute),
+      sites_(eng_, "nersc_recon_flow", "alcf_recon_flow", "cloud_recon_flow"),
       flows_(eng_, db_),
       detector_(eng_, beamline::Detector::Config{}, config.seed ^ 0xde7),
       mirror_(eng_, detector_.ioc_channel(), "pva-mirror"),
       file_writer_(eng_, mirror_.channel(), acq_server_),
-      streaming_(eng_, mirror_.channel(), esnet_nersc_, zmq_back_,
-                 config.compute),
+      streaming_(eng_, mirror_.channel(), sites_.esnet_nersc(), zmq_back_,
+                 hpc::ComputeModel{}),
       cloud_s3_("cloud-s3", storage::Tier::Eagle, 2000 * TiB),
-      esnet_cloud_(eng_, "esnet-cloud", gbps(config.esnet_cloud_gbps), 0.04),
-      cloud_(eng_, config.compute),
       policy_(sched::require_policy(config.policy)),
-      scheduler_(eng_, flows_, directory_, *policy_) {
+      scheduler_(eng_, flows_, sites_.directory(), *policy_) {
   // Globus routes between every endpoint pair in use.
   globus_.add_route("als-acq", "als-data", &lan_);
-  globus_.add_route("als-data", "nersc-cfs", &esnet_nersc_);
-  globus_.add_route("nersc-cfs", "als-data", &esnet_nersc_);
-  globus_.add_route("als-data", "alcf-eagle", &esnet_alcf_);
-  globus_.add_route("alcf-eagle", "als-data", &esnet_alcf_);
-  globus_.add_route("nersc-cfs", "nersc-hpss", &esnet_nersc_);
-  globus_.add_route("als-data", "cloud-s3", &esnet_cloud_);
-  globus_.add_route("cloud-s3", "als-data", &esnet_cloud_);
+  globus_.add_route("als-data", "nersc-cfs", &sites_.esnet_nersc());
+  globus_.add_route("nersc-cfs", "als-data", &sites_.esnet_nersc());
+  globus_.add_route("als-data", "alcf-eagle", &sites_.esnet_alcf());
+  globus_.add_route("alcf-eagle", "als-data", &sites_.esnet_alcf());
+  globus_.add_route("nersc-cfs", "nersc-hpss", &sites_.esnet_nersc());
+  globus_.add_route("als-data", "cloud-s3", &sites_.esnet_cloud());
+  globus_.add_route("cloud-s3", "als-data", &sites_.esnet_cloud());
 
   // Paper: high concurrency for scan detection, lower for HPC submission
   // (but at least the steady-state number of in-flight reconstructions).
@@ -70,42 +63,23 @@ Facility::Facility(FacilityConfig config)
   // The facility recon branches, as route-table rows. Task names, labels,
   // remote paths, and staging formulas are pinned by the golden chaos
   // campaign — a row must reproduce its hand-written predecessor exactly.
-  nersc_route_ = {"nersc",          "nersc_recon_flow",
-                  "hpc-nersc",      &cfs_,
-                  &nersc_,          &esnet_nersc_,
-                  "globus_to_cfs",  "sfapi_recon_job",
+  nersc_route_ = {"nersc_recon_flow", "hpc-nersc",
+                  &cfs_,              &sites_.nersc(),
+                  "globus_to_cfs",    "sfapi_recon_job",
                   "nersc:raw_to_cfs", "nersc:recon_back",
-                  "/recon/nersc/",  /*stage_in_copy=*/true};
-  alcf_route_ = {"alcf",            "alcf_recon_flow",
-                 "hpc-alcf",        &eagle_,
-                 &alcf_,            &esnet_alcf_,
-                 "globus_to_eagle", "globus_compute_recon",
+                  "/recon/nersc/",    /*stage_in_copy=*/true};
+  alcf_route_ = {"alcf_recon_flow",   "hpc-alcf",
+                 &eagle_,             &sites_.alcf(),
+                 "globus_to_eagle",   "globus_compute_recon",
                  "alcf:raw_to_eagle", "alcf:recon_back",
-                 "/recon/alcf/",    /*stage_in_copy=*/false};
-  cloud_route_ = {"cloud",          "cloud_recon_flow",
-                  "hpc-cloud",      &cloud_s3_,
-                  &cloud_,          &esnet_cloud_,
-                  "globus_to_cloud", "cloud_recon_job",
-                  "cloud:raw_to_s3", "cloud:recon_back",
-                  "/recon/cloud/",  /*stage_in_copy=*/false};
+                 "/recon/alcf/",      /*stage_in_copy=*/false};
+  cloud_route_ = {"cloud_recon_flow", "hpc-cloud",
+                  &cloud_s3_,         &sites_.cloud(),
+                  "globus_to_cloud",  "cloud_recon_job",
+                  "cloud:raw_to_s3",  "cloud:recon_back",
+                  "/recon/cloud/",    /*stage_in_copy=*/false};
 
   register_flows();
-
-  // Placement targets: every route is a candidate; capacity hints mirror
-  // each site's concurrency (nodes, pilot workers, an elastic-but-slower
-  // cloud pool).
-  auto add_target = [this](const ReconRoute& route, double capacity) {
-    sched::FacilityInfo info;
-    info.name = route.facility;
-    info.flow_name = route.flow_name;
-    info.adapter = route.adapter;
-    info.link = route.link;
-    info.capacity_hint = capacity;
-    directory_.add(std::move(info));
-  };
-  add_target(nersc_route_, double(config.perlmutter_nodes));
-  add_target(alcf_route_, double(config.polaris_workers));
-  add_target(cloud_route_, 16.0);
 
   // Pre-flight: every shipped flow graph must validate clean before the
   // first scan. A malformed graph is a programming error, caught here in
@@ -295,8 +269,8 @@ sim::Future<Status> Facility::recon_route_flow(flow::FlowContext ctx,
         job.nz = scan.rows;
         job.n = scan.cols;
         job.algorithm = tomo::Algorithm::Gridrec;
-        job.staging_seconds = double(scan.recon_bytes()) * 1.3 /
-                              config_.output_write_rate;
+        // TIFF + Zarr product writes at 2 GB/s.
+        job.staging_seconds = double(scan.recon_bytes()) * 1.3 / 2e9;
         if (route->stage_in_copy) {
           job.staging_seconds +=
               double(scan.raw_bytes()) / config_.pscratch_stage_rate;
@@ -434,27 +408,22 @@ void Facility::arm_background_arrival(Seconds until) {
   // Poisson arrivals sized to hold the requested utilization.
   const double arrival_mean =
       config_.background_job_mean /
-      (config_.background_utilization * double(config_.perlmutter_nodes));
+      (config_.background_utilization *
+       double(sites_.perlmutter().total_nodes()));
   eng_.schedule_in(rng_.exponential(arrival_mean), [this, until] {
     hpc::JobSpec job;
     job.name = "background";
     job.qos = hpc::Qos::Regular;
     job.duration = rng_.exponential(config_.background_job_mean);
     job.walltime_limit = job.duration + hours(1);
-    perlmutter_.submit(job);
+    sites_.perlmutter().submit(job);
     arm_background_arrival(until);
   });
 }
 
 void Facility::bind_chaos(chaos::ChaosEngine& chaos) {
-  for (net::Link* link : {&lan_, &esnet_nersc_, &esnet_alcf_, &esnet_cloud_}) {
-    chaos.bind_link(link);
-  }
-  for (hpc::ComputeAdapter* adapter :
-       std::initializer_list<hpc::ComputeAdapter*>{&nersc_, &alcf_, &cloud_,
-                                                   &workstation_}) {
-    chaos.bind_adapter(adapter);
-  }
+  chaos.bind_link(&lan_);
+  sites_.bind_chaos(chaos);
   chaos.bind_transfer(&globus_);
   for (storage::StorageEndpoint* ep : {&acq_server_, &beamline_data_, &cfs_,
                                        &eagle_, &hpss_, &cloud_s3_}) {

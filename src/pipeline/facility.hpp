@@ -7,11 +7,11 @@
 //                  facility: nersc, alcf, cloud) and scheduled pruning
 //                  flows; a FederatedScheduler places every scan's
 //                  reconstruction under FacilityConfig::policy
-//   Movement     — Globus TransferService over ESnet links; streaming via
-//                  the PVA mirror + ZeroMQ return path
-//   Compute      — Perlmutter (Slurm + SFAPI, realtime QOS) and Polaris
-//                  (Globus Compute pilot endpoint), plus the historical
-//                  workstation baseline
+//   Movement     — Globus TransferService over the sites' ESnet links;
+//                  streaming via the PVA mirror + ZeroMQ return path
+//   Compute      — the shared sched::Sites: Perlmutter (Slurm + SFAPI,
+//                  realtime QOS), Polaris (Globus Compute pilot endpoint)
+//                  and the cloud burst region, with their directory rows
 //   Access       — SciCat metadata catalogue (+ TiledService at library
 //                  level for real-pixel runs)
 //
@@ -32,13 +32,13 @@
 #include "common/rng.hpp"
 #include "flow/engine.hpp"
 #include "hpc/adapter.hpp"
-#include "hpc/cloud.hpp"
 #include "net/link.hpp"
 #include "net/pubsub.hpp"
 #include "pipeline/streaming_service.hpp"
 #include "sched/directory.hpp"
 #include "sched/policy.hpp"
 #include "sched/scheduler.hpp"
+#include "sched/sites.hpp"
 #include "sim/engine.hpp"
 #include "storage/endpoint.hpp"
 #include "storage/retention.hpp"
@@ -53,27 +53,13 @@ namespace alsflow::pipeline {
 struct FacilityConfig {
   std::uint64_t seed = 42;
 
-  // Network (paper: 10 Gbps beamline NIC; ESnet paths to both centers,
-  // plus a thinner commercial path to the cloud burst region).
-  double lan_gbps = 10.0;
-  double esnet_nersc_gbps = 10.0;
-  double esnet_alcf_gbps = 10.0;
-  double esnet_cloud_gbps = 5.0;
-
-  // Compute. Sustaining 12-20 scans/hour with 20-30 minute reconstructions
-  // needs ~6 concurrent jobs per site (rate x duration), so the realtime
-  // allocation spans several nodes and the ALCF endpoint keeps a matching
-  // pilot pool.
-  int perlmutter_nodes = 8;
-  int polaris_workers = 6;
   // Background (non-beamline) Perlmutter load: target utilization and mean
   // job length — what the realtime QOS has to cut through.
   double background_utilization = 0.8;
   Seconds background_job_mean = 900.0;
 
-  // Staging I/O rates inside jobs.
-  double pscratch_stage_rate = 5e9;   // CFS -> pscratch copy
-  double output_write_rate = 2e9;     // TIFF + Zarr product writes
+  // In-job CFS -> pscratch staging copy rate.
+  double pscratch_stage_rate = 5e9;
 
   // Flow behaviour.
   bool verify_checksums = true;
@@ -84,8 +70,6 @@ struct FacilityConfig {
   // the paper's production configuration: every scan reconstructs at both
   // NERSC and ALCF.
   std::string policy = "static_dual";
-
-  hpc::ComputeModel compute;
 };
 
 struct ScanOptions {
@@ -118,26 +102,22 @@ class Facility {
   storage::StorageEndpoint& eagle() { return eagle_; }
   storage::StorageEndpoint& hpss() { return hpss_; }
   transfer::TransferService& globus() { return globus_; }
-  hpc::SlurmCluster& perlmutter() { return perlmutter_; }
-  hpc::GlobusComputeEndpoint& polaris() { return polaris_; }
+  hpc::SlurmCluster& perlmutter() { return sites_.perlmutter(); }
+  hpc::GlobusComputeEndpoint& polaris() { return sites_.polaris(); }
   flow::FlowEngine& flows() { return flows_; }
   flow::RunDatabase& run_db() { return db_; }
   catalog::SciCatalog& scicat() { return scicat_; }
   access::TiledService& tiled() { return tiled_; }
-  beamline::Detector& detector() { return detector_; }
   StreamingService& streaming() { return streaming_; }
-  hpc::WorkstationAdapter& workstation() { return workstation_; }
-  hpc::NerscSlurmAdapter& nersc_adapter() { return nersc_; }
-  hpc::AlcfGlobusComputeAdapter& alcf_adapter() { return alcf_; }
-  net::Link& esnet_nersc() { return esnet_nersc_; }
-  net::Link& esnet_alcf() { return esnet_alcf_; }
-  net::Link& lan() { return lan_; }
-  sched::FacilityDirectory& directory() { return directory_; }
+  hpc::NerscSlurmAdapter& nersc_adapter() { return sites_.nersc(); }
+  net::Link& esnet_nersc() { return sites_.esnet_nersc(); }
+  sched::FacilityDirectory& directory() { return sites_.directory(); }
   sched::FederatedScheduler& scheduler() { return scheduler_; }
 
-  // Bind every named component (links, compute adapters, the transfer
-  // service, storage endpoints, the flow engine and its run database) to
-  // `chaos`, so a scenario can target any of them by name.
+  // Bind every named component to `chaos`, so a scenario can target any of
+  // them by name: the beamline LAN, the transfer service, the storage
+  // endpoints, the flow engine and its run database, plus the sites'
+  // links and compute adapters (sched::Sites::bind_chaos).
   void bind_chaos(chaos::ChaosEngine& chaos);
 
   // Generate non-beamline Perlmutter load for `duration` (call once,
@@ -181,12 +161,10 @@ class Facility {
   // nersc_recon_flow / alcf_recon_flow pair and is what makes adding a
   // facility (cloud) a table entry instead of a fourth copy.
   struct ReconRoute {
-    std::string facility;        // directory name ("nersc", "alcf", ...)
     std::string flow_name;       // registered flow ("nersc_recon_flow", ...)
     std::string pool;            // work pool ("hpc-nersc", ...)
     storage::StorageEndpoint* remote = nullptr;  // facility-side store
     hpc::ComputeAdapter* adapter = nullptr;
-    net::Link* link = nullptr;   // ESnet path (directory WAN estimate)
     std::string to_remote_task;  // task 1 name ("globus_to_cfs", ...)
     std::string recon_task;      // task 2 name ("sfapi_recon_job", ...)
     std::string out_label;       // transfer label ("nersc:raw_to_cfs", ...)
@@ -229,22 +207,15 @@ class Facility {
   storage::StorageEndpoint eagle_;
   storage::StorageEndpoint hpss_;
 
-  // Network.
+  // Network (the ESnet paths belong to sites_).
   net::Link lan_;
-  net::Link esnet_nersc_;
-  net::Link esnet_alcf_;
   net::Link zmq_back_;
 
   // Movement.
   transfer::TransferService globus_;
 
-  // Compute.
-  hpc::SlurmCluster perlmutter_;
-  hpc::SfApiClient sfapi_;
-  hpc::NerscSlurmAdapter nersc_;
-  hpc::GlobusComputeEndpoint polaris_;
-  hpc::AlcfGlobusComputeAdapter alcf_;
-  hpc::WorkstationAdapter workstation_;
+  // Compute: the shared sites, their ESnet links and directory rows.
+  sched::Sites sites_;
 
   // Orchestration + access.
   flow::RunDatabase db_;
@@ -273,12 +244,9 @@ class Facility {
   // these schedules a simulation event at construction: that keeps
   // static_dual campaigns byte-identical to BENCH_chaos_campaign.json.
   storage::StorageEndpoint cloud_s3_;
-  net::Link esnet_cloud_;
-  hpc::CloudBurstAdapter cloud_;
   ReconRoute nersc_route_;
   ReconRoute alcf_route_;
   ReconRoute cloud_route_;
-  sched::FacilityDirectory directory_;
   std::unique_ptr<sched::PlacementPolicy> policy_;
   sched::FederatedScheduler scheduler_;
 };

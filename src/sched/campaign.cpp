@@ -13,42 +13,9 @@ using flow::task_spec;
 
 FleetWorld::FleetWorld(FleetCampaignConfig config)
     : config_(std::move(config)),
-      perlmutter_(eng_, "perlmutter", config_.nersc_nodes),
-      sfapi_(eng_, perlmutter_),
-      nersc_(eng_, sfapi_, hpc::ComputeModel{}),
-      polaris_(eng_, "polaris", config_.alcf_workers),
-      alcf_(eng_, polaris_, hpc::ComputeModel{}),
-      cloud_(eng_, hpc::ComputeModel{}),
-      esnet_nersc_(eng_, "esnet-nersc", gbps(config_.esnet_nersc_gbps), 0.03),
-      esnet_alcf_(eng_, "esnet-alcf", gbps(config_.esnet_alcf_gbps), 0.05),
-      esnet_cloud_(eng_, "esnet-cloud", gbps(config_.esnet_cloud_gbps), 0.04),
+      sites_(eng_, "recon_nersc", "recon_alcf", "recon_cloud"),
       chaos_(eng_) {
-  auto add_route = [this](const std::string& facility,
-                          hpc::ComputeAdapter* adapter, net::Link* link,
-                          double capacity_hint) {
-    auto route = std::make_unique<Route>();
-    route->facility = facility;
-    route->adapter = adapter;
-    route->link = link;
-    routes_.push_back(std::move(route));
-
-    FacilityInfo info;
-    info.name = facility;
-    info.flow_name = "recon_" + facility;
-    info.adapter = adapter;
-    info.link = link;
-    info.capacity_hint = capacity_hint;
-    directory_.add(std::move(info));
-  };
-  add_route("nersc", &nersc_, &esnet_nersc_, double(config_.nersc_nodes));
-  add_route("alcf", &alcf_, &esnet_alcf_, double(config_.alcf_workers));
-  if (config_.with_cloud) {
-    // Elastic, but slower per instance and behind a thinner path — the
-    // cost model should only burst here under pressure.
-    add_route("cloud", &cloud_, &esnet_cloud_, 16.0);
-  }
-
-  fleet_ = std::make_unique<Fleet>(eng_, directory_, config_.policy,
+  fleet_ = std::make_unique<Fleet>(eng_, sites_.directory(), config_.policy,
                                    config_.scheduler);
   for (int b = 0; b < config_.beamlines; ++b) {
     char name[16];
@@ -59,13 +26,7 @@ FleetWorld::FleetWorld(FleetCampaignConfig config)
                         register_shard_flows(beamline, flows);
                       });
   }
-
-  chaos_.bind_link(&esnet_nersc_);
-  chaos_.bind_link(&esnet_alcf_);
-  chaos_.bind_link(&esnet_cloud_);
-  chaos_.bind_adapter(&nersc_);
-  chaos_.bind_adapter(&alcf_);
-  chaos_.bind_adapter(&cloud_);
+  sites_.bind_chaos(chaos_);
 }
 
 void FleetWorld::register_shard_flows(const std::string& beamline,
@@ -74,8 +35,8 @@ void FleetWorld::register_shard_flows(const std::string& beamline,
   // Orchestration itself must not be the bottleneck at fleet scale:
   // queueing belongs at the facilities (Slurm, pilot pool), not the pool.
   flows.set_pool_limit("fleet", 32);
-  for (const auto& route : routes_) {
-    const std::string flow_name = "recon_" + route->facility;
+  for (const FacilityInfo& site : sites_.directory().facilities()) {
+    const std::string& flow_name = site.flow_name;
     flow::FlowSpec spec;
     spec.tasks = {
         task_spec(flow_name, "stage_out", {}, true, false),
@@ -85,24 +46,24 @@ void FleetWorld::register_shard_flows(const std::string& beamline,
     flow::FlowOptions options;
     options.max_retries = 0;
     options.work_pool = "fleet";
-    const Route* r = route.get();
+    const FacilityInfo* row = &site;
     flows.register_flow(
         flow_name,
-        [this, r](flow::FlowContext ctx) { return recon_flow(ctx, r); },
+        [this, row](flow::FlowContext ctx) { return recon_flow(ctx, row); },
         options, spec);
   }
 }
 
 sim::Future<Status> FleetWorld::recon_flow(flow::FlowContext ctx,
-                                           const Route* route) {
+                                           const FacilityInfo* site) {
   const ScanRequest scan = scans_.at(ctx.parameters);
   flow::FlowEngine& flows = ctx.engine;
 
   // Task bodies bound to named std::function locals (GCC 12: inline
   // lambda temporaries in a co_await expression are double-destroyed).
   std::function<sim::Future<Status>()> stage_out_task =
-      [route, scan]() -> sim::Future<Status> {
-        (void)co_await route->link->send(scan.raw_bytes);
+      [site, scan]() -> sim::Future<Status> {
+        (void)co_await site->link->send(scan.raw_bytes);
         co_return Status::success();
       };
   Status out = co_await flows.run_task(ctx, "stage_out", stage_out_task,
@@ -110,12 +71,12 @@ sim::Future<Status> FleetWorld::recon_flow(flow::FlowContext ctx,
   if (!out.ok()) co_return out;
 
   std::function<sim::Future<Status>()> recon_task =
-      [route, scan]() -> sim::Future<Status> {
+      [site, scan]() -> sim::Future<Status> {
         hpc::ReconJob job;
         job.name = "fleet-" + scan.scan_id;
         job.nz = scan.nz;
         job.n = scan.n;
-        auto outcome = co_await route->adapter->run(job);
+        auto outcome = co_await site->adapter->run(job);
         co_return outcome.status;
       };
   Status recon =
@@ -123,9 +84,9 @@ sim::Future<Status> FleetWorld::recon_flow(flow::FlowContext ctx,
   if (!recon.ok()) co_return recon;
 
   std::function<sim::Future<Status>()> stage_back_task =
-      [route, scan]() -> sim::Future<Status> {
+      [site, scan]() -> sim::Future<Status> {
         // TIFF stack + Zarr pyramid overhead, matching the pipeline's 1.3x.
-        (void)co_await route->link->send(
+        (void)co_await site->link->send(
             Bytes(double(scan.recon_bytes) * 1.3));
         co_return Status::success();
       };

@@ -2,13 +2,13 @@
 // scheduler decision per scan.
 //
 // FleetWorld builds the smallest world that exercises the whole sched
-// stack at scale: real facility components (Slurm + SFAPI behind the NERSC
-// adapter, a Globus Compute pilot pool behind the ALCF adapter, an elastic
-// cloud-burst adapter) shared by every beamline, one ESnet link per
-// facility, a FacilityDirectory over all of it, and a sched::Fleet with
-// one FlowEngine + RunDatabase shard per beamline. Each shard registers
-// the same three-task recon flow per facility (stage raw out -> reconstruct
-// -> stage products back), parameterized by scan id, with idempotency keys
+// stack at scale: the shared compute sites (sched::Sites: Slurm + SFAPI
+// behind the NERSC adapter, a Globus Compute pilot pool behind the ALCF
+// adapter, an elastic cloud-burst adapter, one ESnet link per site, and
+// the FacilityDirectory over all of it) and a sched::Fleet with one
+// FlowEngine + RunDatabase shard per beamline. Each shard registers the
+// same three-task recon flow per site (stage raw out -> reconstruct ->
+// stage products back), parameterized by scan id, with idempotency keys
 // so failover resubmission skips completed stages. Every scan goes through
 // its shard's FederatedScheduler.
 //
@@ -22,7 +22,6 @@
 #include <map>
 #include <memory>
 #include <string>
-#include <vector>
 
 #include "chaos/chaos_engine.hpp"
 #include "chaos/scenario.hpp"
@@ -30,12 +29,11 @@
 #include "common/stats.hpp"
 #include "common/units.hpp"
 #include "hpc/adapter.hpp"
-#include "hpc/cloud.hpp"
-#include "net/link.hpp"
 #include "sched/directory.hpp"
 #include "sched/fleet.hpp"
 #include "sched/policy.hpp"
 #include "sched/scheduler.hpp"
+#include "sched/sites.hpp"
 #include "sim/engine.hpp"
 
 namespace alsflow::sched {
@@ -50,14 +48,6 @@ struct FleetCampaignConfig {
   // A sched::make_policy name: "static_dual" | "round_robin" | "greedy" |
   // "hedged".
   std::string policy = "greedy";
-
-  // Shared facility sizing.
-  int nersc_nodes = 8;
-  int alcf_workers = 6;
-  bool with_cloud = true;
-  double esnet_nersc_gbps = 10.0;
-  double esnet_alcf_gbps = 10.0;
-  double esnet_cloud_gbps = 5.0;
 
   // Every Nth scan carries a completion deadline (what HedgedPolicy keys
   // on); 0 disables deadlines.
@@ -97,27 +87,18 @@ class FleetWorld {
 
   sim::Engine& engine() { return eng_; }
   Fleet& fleet() { return *fleet_; }
-  FacilityDirectory& directory() { return directory_; }
+  FacilityDirectory& directory() { return sites_.directory(); }
   chaos::ChaosEngine& chaos() { return chaos_; }
-  hpc::ComputeAdapter& nersc_adapter() { return nersc_; }
-  hpc::ComputeAdapter& alcf_adapter() { return alcf_; }
-  net::Link& esnet_nersc() { return esnet_nersc_; }
-  net::Link& esnet_alcf() { return esnet_alcf_; }
-
-  const ScanRequest& scan_for(const std::string& scan_id) const {
-    return scans_.at(scan_id);
-  }
+  hpc::ComputeAdapter& nersc_adapter() { return sites_.nersc(); }
 
  private:
-  // The per-facility recon flow body (stage out -> recon -> stage back),
-  // shared by all facilities via a route struct. Pointer parameters: the
-  // route and world outlive every flow run (astcheck coroutine-ref-param).
-  struct Route {
-    std::string facility;
-    hpc::ComputeAdapter* adapter = nullptr;
-    net::Link* link = nullptr;
-  };
-  sim::Future<Status> recon_flow(flow::FlowContext ctx, const Route* route);
+  // The per-site recon flow body (stage out -> recon -> stage back), one
+  // coroutine for every site: it reads the site's directory row, which
+  // carries the adapter and the link. Pointer parameter: Sites registers
+  // every row at construction, so rows keep their addresses, and they and
+  // the world outlive every flow run (astcheck coroutine-ref-param).
+  sim::Future<Status> recon_flow(flow::FlowContext ctx,
+                                 const FacilityInfo* site);
   void register_shard_flows(const std::string& beamline,
                             flow::FlowEngine& flows);
 
@@ -125,25 +106,9 @@ class FleetWorld {
 
   FleetCampaignConfig config_;
   sim::Engine eng_;
-
-  // Shared facilities.
-  hpc::SlurmCluster perlmutter_;
-  hpc::SfApiClient sfapi_;
-  hpc::NerscSlurmAdapter nersc_;
-  hpc::GlobusComputeEndpoint polaris_;
-  hpc::AlcfGlobusComputeAdapter alcf_;
-  hpc::CloudBurstAdapter cloud_;
-  net::Link esnet_nersc_;
-  net::Link esnet_alcf_;
-  net::Link esnet_cloud_;
-
-  FacilityDirectory directory_;
+  Sites sites_;  // shared by every beamline
   std::unique_ptr<Fleet> fleet_;
   chaos::ChaosEngine chaos_;
-
-  // One route per facility flow; stable addresses (flow lambdas hold
-  // pointers into these for the lifetime of the world).
-  std::vector<std::unique_ptr<Route>> routes_;
   std::map<std::string, ScanRequest> scans_;
 };
 

@@ -5,7 +5,9 @@
 // fault schedule interleaves with the workload reproducibly regardless of
 // host threading (the TSan CI leg runs this suite to prove it). The seeded
 // sweeps check the zero-lost-scans invariants over 100 random fault
-// schedules per policy and over a crash at every 10 s of a campaign.
+// schedules per policy and over a crash at every 10 s of a campaign, and
+// over 50 random schedules per policy on a sched::FleetWorld; every sweep
+// also checks that each fault it armed landed on a bound component.
 #include <gtest/gtest.h>
 
 #include <cstdio>
@@ -17,6 +19,7 @@
 #include "chaos/chaos_engine.hpp"
 #include "chaos/scenario.hpp"
 #include "pipeline/facility.hpp"
+#include "sched/campaign.hpp"
 
 namespace alsflow::chaos {
 namespace {
@@ -448,9 +451,21 @@ TEST(ChaosDeterminism, RandomScenarioCampaignCompletes) {
 // Seeded sweeps: many fault schedules, the same invariants
 // ---------------------------------------------------------------------------
 
+// ChaosEngine skips a fault whose target was never bound, so a sweep over
+// it would pass without testing anything.
+void add_unapplied(const ChaosEngine& chaos, std::vector<std::string>* out) {
+  for (const InjectedFault& f : chaos.log()) {
+    if (!f.applied) {
+      out->push_back(std::string(fault_kind_name(f.kind)) + " on '" +
+                     f.target + "' not applied");
+    }
+  }
+}
+
 // Runs 8 scans 180 s apart under `policy` with `scenario` armed, and lists
 // every invariant broken at quiescence: a scan lost or its recon not
-// completed, a flow run left non-terminal, a placement still in flight.
+// completed, a flow run left non-terminal, a placement still in flight, a
+// fault not applied.
 std::vector<std::string> sweep_violations(const char* policy,
                                           const Scenario& scenario) {
   Rig rig(42, policy);
@@ -469,6 +484,39 @@ std::vector<std::string> sweep_violations(const char* policy,
   for (const auto& f : rig.fac.directory().snapshot(rig.fac.engine().now())) {
     if (f.inflight_placements != 0) out.push_back(f.name + " in flight");
   }
+  add_unapplied(rig.chaos, &out);
+  return out;
+}
+
+// The same invariants on an 8-beamline x 32-scan fleet, whose sites take
+// the faults through FleetWorld's own chaos binding.
+std::vector<std::string> fleet_sweep_violations(const char* policy,
+                                                const Scenario& scenario) {
+  sched::FleetCampaignConfig cfg;
+  cfg.beamlines = 8;
+  cfg.scans_per_beamline = 32;
+  cfg.policy = policy;
+  cfg.scenario = scenario;
+  sched::FleetWorld world(cfg);
+  const sched::FleetCampaignReport rep = world.run();
+  std::vector<std::string> out;
+  if (world.fleet().scans_lost() != 0) out.push_back("a scan was lost");
+  if (rep.completed != rep.offered) {
+    out.push_back(std::to_string(rep.completed) + " of " +
+                  std::to_string(rep.offered) + " scans completed");
+  }
+  for (const auto& shard : world.fleet().shards()) {
+    for (const auto& run : shard->db->runs()) {
+      if (!flow::is_terminal(run.state)) {
+        out.push_back(shard->beamline + " " + run.flow_name + " run " +
+                      run.id + " left " + flow::run_state_name(run.state));
+      }
+    }
+  }
+  for (const auto& f : world.directory().snapshot(world.engine().now())) {
+    if (f.inflight_placements != 0) out.push_back(f.name + " in flight");
+  }
+  add_unapplied(world.chaos(), &out);
   return out;
 }
 
@@ -486,6 +534,27 @@ TEST(ChaosSweep, RandomScenariosLoseNothing) {
     for (std::uint64_t seed = 1; seed <= 100; ++seed) {
       const Scenario s = make_random_scenario(seed, cfg);
       for (const std::string& v : sweep_violations(policy, s)) {
+        ADD_FAILURE() << policy << ", seed " << seed << ": " << v;
+      }
+    }
+  }
+}
+
+TEST(ChaosSweep, FleetRandomScenariosLoseNothing) {
+  // Outages and path faults on every site and every ESnet link, from 30 s
+  // to an hour long, starting anywhere in the 32 arrivals 60 s apart. The
+  // fleet has no transfer service or storage endpoints to fault.
+  RandomScenarioConfig cfg;
+  cfg.horizon = 1920.0;
+  cfg.min_duration = 30.0;
+  cfg.max_duration = 3600.0;
+  cfg.links = {"esnet-nersc", "esnet-alcf", "esnet-cloud"};
+  cfg.facilities = {"nersc", "alcf", "cloud"};
+  cfg.allow_transfer_faults = false;
+  for (const char* policy : {"static_dual", "greedy", "round_robin", "hedged"}) {
+    for (std::uint64_t seed = 1; seed <= 50; ++seed) {
+      const Scenario s = make_random_scenario(seed, cfg);
+      for (const std::string& v : fleet_sweep_violations(policy, s)) {
         ADD_FAILURE() << policy << ", seed " << seed << ": " << v;
       }
     }

@@ -338,17 +338,5 @@ TEST(Adapters, CloudSlowerPerJobButNoContention) {
   EXPECT_LT(cloud_max, alcf_max);  // elasticity wins at burst scale
 }
 
-TEST(Adapters, WorkstationSerializes) {
-  Engine eng;
-  WorkstationAdapter adapter(eng, ComputeModel{});
-  ReconJob job;
-  job.nz = 64;
-  job.n = 64;
-  auto a = adapter.run(job);
-  auto b = adapter.run(job);
-  eng.run();
-  EXPECT_GE(b.value().started_at, a.value().finished_at);
-}
-
 }  // namespace
 }  // namespace alsflow::hpc
