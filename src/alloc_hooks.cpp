@@ -9,8 +9,10 @@
 // if this thread is inside a hot region. The hooks forward to malloc/free,
 // so the sanitizers' malloc interceptors still see every allocation. Each
 // thread also counts its live allocations (new calls minus delete calls on
-// non-null pointers) in a plain thread_local, so no allocation pays for a
-// shared atomic; Facility.TeardownFreesEveryCoroutineFrame reads it.
+// non-null pointers) and its operator new calls in plain thread_locals, so
+// no allocation pays for a shared atomic. The live count is what
+// Facility.TeardownFreesEveryCoroutineFrame reads; the call count is what
+// bench_sim_engine and the allocation-budget tests read.
 //
 // Every form is replaced, nothrow ones included: under ASan an unreplaced
 // form comes from ASan's own allocator, so the free() in the matching
@@ -28,6 +30,7 @@ namespace {
 // Plain zero-initialized TLS only: operator new can run before any
 // dynamic thread_local constructor would have.
 thread_local std::int64_t t_live = 0;
+thread_local std::uint64_t t_allocations = 0;
 
 // Reports the request to the guard, then calls `alloc` until it succeeds,
 // running the installed new_handler between tries and throwing
@@ -35,6 +38,7 @@ thread_local std::int64_t t_live = 0;
 template <typename Alloc>
 void* allocate_with(std::size_t size, Alloc alloc) {
   alsflow::hotguard::detail::note_alloc(size);
+  ++t_allocations;
   for (;;) {
     if (void* p = alloc(size != 0 ? size : 1)) {
       ++t_live;
@@ -80,6 +84,7 @@ void release(void* p) noexcept {
 namespace alsflow::hotguard {
 
 std::int64_t live_allocations() noexcept { return t_live; }
+std::uint64_t allocations() noexcept { return t_allocations; }
 
 }  // namespace alsflow::hotguard
 

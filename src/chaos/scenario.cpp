@@ -27,8 +27,11 @@ Scenario make_random_scenario(std::uint64_t seed,
   Scenario out;
   out.name = "random_" + std::to_string(seed);
 
-  // Candidate kinds, restricted to what the config can target.
+  // Candidate kinds, restricted to what the config can target. Reserved
+  // for all seven up front: GCC 12 at -O2 otherwise reports a false
+  // -Wstringop-overflow from the inlined growth of the first push_back.
   std::vector<FaultKind> kinds;
+  kinds.reserve(7);
   if (!config.links.empty()) {
     kinds.push_back(FaultKind::LinkDegradation);
     kinds.push_back(FaultKind::LinkBlackout);

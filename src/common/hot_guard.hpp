@@ -78,6 +78,8 @@ std::uint64_t hot_alloc_bytes() noexcept;
 // delete calls on non-null pointers. Defined by the allocation hooks, not
 // by this library, so only a binary that links them can call it.
 std::int64_t live_allocations() noexcept;
+// This thread's operator new calls since it started, from the same hooks.
+std::uint64_t allocations() noexcept;
 
 // RAII hot-region marker. `name` must outlive the region (string
 // literals; the pool passes through the submitter's literal).

@@ -54,7 +54,10 @@ TaskSpec task_spec(const std::string& flow, const std::string& name,
 
 TaskOptions keyed(const FlowContext& ctx, const std::string& task) {
   TaskOptions o;
-  o.idempotency_key = ctx.flow_name + ":" + task + ":" + ctx.parameters;
+  std::string& key = o.idempotency_key;
+  key.reserve(ctx.flow_name.size() + task.size() + ctx.parameters.size() + 2);
+  key.append(ctx.flow_name).append(1, ':').append(task).append(1, ':');
+  key.append(ctx.parameters);
   return o;
 }
 
@@ -579,8 +582,9 @@ ReplayReport FlowEngine::replay() {
 
 void FlowEngine::remember_idempotent_success(const std::string& key) {
   LockGuard lock(mu_);
-  if (!idempotency_cache_.insert(key).second) return;  // already cached
-  idempotency_order_.push_back(key);
+  const auto [it, inserted] = idempotency_cache_.insert(key);
+  if (!inserted) return;  // already cached
+  idempotency_order_.push_back(it);
   // FIFO bound so long campaigns (millions of task runs) cannot grow the
   // cache without limit; an evicted key simply re-executes its task.
   while (idempotency_order_.size() > kIdempotencyCacheCapacity) {

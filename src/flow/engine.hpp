@@ -284,8 +284,10 @@ class FlowEngine {
       ALSFLOW_GUARDED_BY(mu_);
   // Successful keys only.
   std::set<std::string> idempotency_cache_ ALSFLOW_GUARDED_BY(mu_);
-  // Insertion order (FIFO eviction).
-  std::deque<std::string> idempotency_order_ ALSFLOW_GUARDED_BY(mu_);
+  // Insertion order (FIFO eviction): the cache's own nodes, which keep
+  // their addresses until erased, so each key is stored once.
+  std::deque<std::set<std::string>::iterator> idempotency_order_
+      ALSFLOW_GUARDED_BY(mu_);
   std::map<int, std::shared_ptr<Schedule>> schedules_;
   int next_schedule_ = 1;
   // Crash state: true between halt() and replay(). Engine-thread only.

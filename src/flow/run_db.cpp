@@ -35,8 +35,7 @@ std::string RunDatabase::create_run(const std::string& flow_name, Seconds now,
   rec.flow_name = flow_name;
   rec.created_at = now;
   rec.parameters = std::move(parameters);
-  runs_.emplace(rec.id, rec);
-  order_.push_back(rec.id);
+  order_.push_back(&runs_.emplace(rec.id, rec).first->second);
   return id;
 }
 
@@ -79,10 +78,8 @@ const FlowRunRecord* RunDatabase::run(const std::string& run_id) const {
 std::vector<FlowRunRecord> RunDatabase::runs_locked(
     const std::string& flow_name) const {
   std::vector<FlowRunRecord> out;
-  for (const auto& id : order_) {
-    const auto& rec = runs_.at(id);
-    if (flow_name.empty() || rec.flow_name == flow_name) out.push_back(rec);
-  }
+  for_each_run_locked(flow_name,
+                      [&](const FlowRunRecord& rec) { out.push_back(rec); });
   return out;
 }
 
@@ -95,9 +92,9 @@ std::vector<FlowRunRecord> RunDatabase::runs(
 std::vector<FlowRunRecord> RunDatabase::runs_in_state_locked(
     const std::string& flow_name, RunState state) const {
   std::vector<FlowRunRecord> out;
-  for (const auto& rec : runs_locked(flow_name)) {
+  for_each_run_locked(flow_name, [&](const FlowRunRecord& rec) {
     if (rec.state == state) out.push_back(rec);
-  }
+  });
   return out;
 }
 
@@ -111,25 +108,33 @@ Summary RunDatabase::duration_summary(const std::string& flow_name,
                                       std::size_t last_n,
                                       RunState state) const {
   LockGuard lock(mu_);
-  auto matching = runs_in_state_locked(flow_name, state);
+  // Two passes over the records in place: count the matches, then take
+  // the durations of the last `last_n`.
+  std::size_t matching = 0;
+  for_each_run_locked(flow_name, [&](const FlowRunRecord& rec) {
+    if (rec.state == state) ++matching;
+  });
+  const std::size_t start = matching > last_n ? matching - last_n : 0;
   std::vector<double> durations;
-  const std::size_t start =
-      matching.size() > last_n ? matching.size() - last_n : 0;
-  for (std::size_t i = start; i < matching.size(); ++i) {
-    durations.push_back(matching[i].duration());
-  }
+  durations.reserve(matching - start);
+  std::size_t i = 0;
+  for_each_run_locked(flow_name, [&](const FlowRunRecord& rec) {
+    if (rec.state == state && i++ >= start) {
+      durations.push_back(rec.duration());
+    }
+  });
   return summarize(std::move(durations));
 }
 
 double RunDatabase::success_rate(const std::string& flow_name) const {
   LockGuard lock(mu_);
   std::size_t terminal = 0, completed = 0;
-  for (const auto& rec : runs_locked(flow_name)) {
+  for_each_run_locked(flow_name, [&](const FlowRunRecord& rec) {
     if (is_terminal(rec.state)) {
       ++terminal;
       if (rec.state == RunState::Completed) ++completed;
     }
-  }
+  });
   return terminal == 0 ? 1.0 : double(completed) / double(terminal);
 }
 

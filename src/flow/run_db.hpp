@@ -147,6 +147,15 @@ class RunDatabase {
   }
 
  private:
+  // Calls fn on every run of `flow_name` ("" = every flow), in creation
+  // order, reading the records in place.
+  template <typename Fn>
+  void for_each_run_locked(const std::string& flow_name, Fn&& fn) const
+      ALSFLOW_REQUIRES(mu_) {
+    for (const FlowRunRecord* rec : order_) {
+      if (flow_name.empty() || rec->flow_name == flow_name) fn(*rec);
+    }
+  }
   std::vector<FlowRunRecord> runs_locked(const std::string& flow_name) const
       ALSFLOW_REQUIRES(mu_);
   std::vector<FlowRunRecord> runs_in_state_locked(
@@ -155,7 +164,9 @@ class RunDatabase {
 
   mutable Mutex mu_{LockRank::kFlowRunDb, "flow.run_db"};
   std::map<std::string, FlowRunRecord> runs_ ALSFLOW_GUARDED_BY(mu_);
-  std::vector<std::string> order_ ALSFLOW_GUARDED_BY(mu_);  // creation order
+  // Creation order: runs_'s nodes, which keep their addresses (no run is
+  // ever erased).
+  std::vector<const FlowRunRecord*> order_ ALSFLOW_GUARDED_BY(mu_);
   std::vector<TaskRunRecord> task_runs_ ALSFLOW_GUARDED_BY(mu_);
   std::uint64_t next_id_ ALSFLOW_GUARDED_BY(mu_) = 1;
 };

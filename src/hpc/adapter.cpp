@@ -33,37 +33,33 @@ sim::Future<sim::Unit> ComputeAdapter::ensure_available_impl() {
   co_return sim::Unit{};
 }
 
-QueueStats ComputeAdapter::queue_stats() const {
-  QueueStats s;
-  s.completed = completed_;
-  s.inflight = inflight_;
-  s.last_queue_wait = last_queue_wait_;
-  if (!wait_window_.empty()) {
-    std::vector<double> xs(wait_window_.begin(), wait_window_.end());
-    std::sort(xs.begin(), xs.end());
-    s.queue_wait_p50 = percentile_sorted(xs, 0.50);
-    s.queue_wait_p95 = percentile_sorted(xs, 0.95);
-  }
-  if (!exec_window_.empty()) {
-    double sum = 0.0;
-    for (Seconds x : exec_window_) sum += x;
-    s.exec_mean = sum / double(exec_window_.size());
-  }
-  return s;
-}
-
 void ComputeAdapter::record_job_telemetry(const ReconJob& job,
                                           const ReconJobOutcome& outcome) {
   // Structured queue-state bookkeeping first, independent of whether
   // telemetry is enabled: queue_stats() must work in bare worlds too.
+  // The window statistics are computed here, once per report, not per
+  // snapshot: the sorted window changes by one insert and one erase.
   if (outcome.started_at >= outcome.submitted_at) {
-    ++completed_;
-    last_queue_wait_ = outcome.queue_wait();
-    wait_window_.push_back(last_queue_wait_);
-    if (wait_window_.size() > kStatsWindow) wait_window_.pop_front();
+    const Seconds wait = outcome.queue_wait();
+    ++stats_.completed;
+    stats_.last_queue_wait = wait;
+    wait_window_.push_back(wait);
+    wait_sorted_.insert(
+        std::upper_bound(wait_sorted_.begin(), wait_sorted_.end(), wait),
+        wait);
+    if (wait_window_.size() > kStatsWindow) {
+      wait_sorted_.erase(std::lower_bound(
+          wait_sorted_.begin(), wait_sorted_.end(), wait_window_.front()));
+      wait_window_.pop_front();
+    }
+    stats_.queue_wait_p50 = percentile_sorted(wait_sorted_, 0.50);
+    stats_.queue_wait_p95 = percentile_sorted(wait_sorted_, 0.95);
     if (outcome.finished_at >= outcome.started_at) {
       exec_window_.push_back(outcome.finished_at - outcome.started_at);
       if (exec_window_.size() > kStatsWindow) exec_window_.pop_front();
+      double sum = 0.0;
+      for (Seconds x : exec_window_) sum += x;
+      stats_.exec_mean = sum / double(exec_window_.size());
     }
   }
 

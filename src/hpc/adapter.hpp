@@ -14,6 +14,7 @@
 #include <deque>
 #include <memory>
 #include <string>
+#include <vector>
 
 #include "common/result.hpp"
 #include "common/telemetry.hpp"
@@ -84,8 +85,14 @@ class ComputeAdapter {
   }
   virtual std::string facility() const = 0;
 
-  // Live queue-state snapshot (see QueueStats). Sim-thread only.
-  QueueStats queue_stats() const;
+  // Live queue-state snapshot (see QueueStats). Sim-thread only. The
+  // window statistics are computed when a job reports back, so a snapshot
+  // is a copy.
+  QueueStats queue_stats() const {
+    QueueStats s = stats_;
+    s.inflight = inflight_;
+    return s;
+  }
 
   // --- chaos seam: facility health (src/chaos drives this) ---
   //
@@ -116,12 +123,13 @@ class ComputeAdapter {
  private:
   sim::Future<sim::Unit> ensure_available_impl();
 
-  // Sliding-window queue-wait / execute-time samples behind queue_stats().
+  // Sliding-window queue-wait / execute-time samples behind queue_stats(),
+  // oldest first; wait_sorted_ holds the wait window in ascending order.
   static constexpr std::size_t kStatsWindow = 64;
   std::size_t inflight_ = 0;
-  std::size_t completed_ = 0;
-  Seconds last_queue_wait_ = 0.0;
+  QueueStats stats_;  // everything but inflight, as of the last report
   std::deque<Seconds> wait_window_;
+  std::vector<Seconds> wait_sorted_;
   std::deque<Seconds> exec_window_;
 
   bool available_ = true;

@@ -16,16 +16,14 @@ const char* domain_name(telemetry::ClockDomain d) {
 
 void FlightRecorder::record_event(const telemetry::MonitorEvent& ev) {
   LockGuard lock(m_);
-  events_.push_back(ev);
+  events_.push(ev);
   ++events_seen_;
-  while (events_.size() > cfg_.event_capacity) events_.pop_front();
 }
 
 void FlightRecorder::record_log(const LogRecord& rec) {
   LockGuard lock(m_);
-  logs_.push_back(rec);
+  logs_.push(rec);
   ++logs_seen_;
-  while (logs_.size() > cfg_.log_capacity) logs_.pop_front();
 }
 
 std::size_t FlightRecorder::events_recorded() const {
@@ -54,7 +52,7 @@ std::string FlightRecorder::snapshot(const Alert& alert, double now) {
 
   out += "  \"events\": [";
   bool first = true;
-  for (const auto& ev : events_) {
+  events_.for_each([&](const telemetry::MonitorEvent& ev) {
     out += std::string(first ? "\n" : ",\n") + "    {\"t\": " +
            fmt_double(ev.t) + ", \"component\": \"" +
            json_escape(ev.component) + "\", \"kind\": \"" +
@@ -63,16 +61,16 @@ std::string FlightRecorder::snapshot(const Alert& alert, double now) {
            ", \"ok\": " + (ev.ok ? "true" : "false") + ", \"detail\": \"" +
            json_escape(ev.detail) + "\"}";
     first = false;
-  }
+  });
   out += "\n  ],\n";
 
   out += "  \"logs\": [";
   first = true;
-  for (const auto& rec : logs_) {
+  logs_.for_each([&](const LogRecord& rec) {
     out += std::string(first ? "\n" : ",\n") + "    \"" +
            json_escape(format_log_line(rec)) + "\"";
     first = false;
-  }
+  });
   out += "\n  ],\n";
 
   // The tail of the span stream (begin order), span ids elided: ids are

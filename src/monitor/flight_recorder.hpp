@@ -14,7 +14,6 @@
 #pragma once
 
 #include <cstddef>
-#include <deque>
 #include <map>
 #include <string>
 #include <vector>
@@ -34,8 +33,9 @@ class FlightRecorder {
     std::size_t span_tail = 48;        // spans quoted per snapshot
   };
 
-  FlightRecorder() = default;
-  explicit FlightRecorder(Config cfg) : cfg_(cfg) {}
+  FlightRecorder() : FlightRecorder(Config{}) {}
+  explicit FlightRecorder(Config cfg)
+      : cfg_(cfg), events_(cfg.event_capacity), logs_(cfg.log_capacity) {}
 
   void record_event(const telemetry::MonitorEvent& ev);
   void record_log(const LogRecord& rec);
@@ -49,10 +49,38 @@ class FlightRecorder {
   std::size_t logs_recorded() const;
 
  private:
+  // Fixed-capacity ring: once full, a record is assigned over the oldest
+  // entry, reusing its storage and string buffers.
+  template <typename T>
+  class Ring {
+   public:
+    explicit Ring(std::size_t capacity) : capacity_(capacity) {}
+    void push(const T& item) {
+      if (items_.size() < capacity_) {
+        items_.push_back(item);
+      } else if (capacity_ > 0) {
+        items_[oldest_] = item;
+        oldest_ = (oldest_ + 1) % capacity_;
+      }
+    }
+    // Oldest first.
+    template <typename Fn>
+    void for_each(Fn&& fn) const {
+      for (std::size_t k = 0; k < items_.size(); ++k) {
+        fn(items_[(oldest_ + k) % items_.size()]);
+      }
+    }
+
+   private:
+    std::size_t capacity_;
+    std::vector<T> items_;
+    std::size_t oldest_ = 0;
+  };
+
   Config cfg_;
   mutable Mutex m_{LockRank::kFlightRecorder, "monitor.flight_recorder"};
-  std::deque<telemetry::MonitorEvent> events_ ALSFLOW_GUARDED_BY(m_);
-  std::deque<LogRecord> logs_ ALSFLOW_GUARDED_BY(m_);
+  Ring<telemetry::MonitorEvent> events_ ALSFLOW_GUARDED_BY(m_);
+  Ring<LogRecord> logs_ ALSFLOW_GUARDED_BY(m_);
   std::map<std::string, double> last_metrics_ ALSFLOW_GUARDED_BY(m_);
   std::size_t events_seen_ ALSFLOW_GUARDED_BY(m_) = 0;
   std::size_t logs_seen_ ALSFLOW_GUARDED_BY(m_) = 0;

@@ -143,10 +143,8 @@ sim::Future<sim::Unit> Link::send(Bytes bytes) {
     reschedule();
   }
   record_metrics();
-  return [](sim::Event<sim::Unit> ev) -> sim::Future<sim::Unit> {
-    co_await ev;
-    co_return sim::Unit{};
-  }(done);
+  // The caller awaits the delivery event's own state.
+  return sim::Future<sim::Unit>(done.state());
 }
 
 double Link::mean_throughput() const {

@@ -213,8 +213,9 @@ sim::Future<Status> Facility::new_file_832(flow::FlowContext ctx) {
         auto outcome = co_await globus_.submit(std::move(spec));
         co_return outcome.status;
       };
-  Status copied = co_await flows_.run_task(ctx, "copy_to_data_server", copied_task,
-                              keyed(ctx, "copy_to_data_server"));
+  Status copied = co_await flows_.run_task(
+      ctx, "copy_to_data_server", std::move(copied_task),
+      keyed(ctx, "copy_to_data_server"));
   if (!copied.ok()) co_return copied;
 
   // Task 2: ingest scan metadata into SciCat.
@@ -227,8 +228,9 @@ sim::Future<Status> Facility::new_file_832(flow::FlowContext ctx) {
                            scan.as_fields());
         co_return Status::success();
       };
-  co_return co_await flows_.run_task(ctx, "scicat_ingest", scicat_ingest_task,
-                              keyed(ctx, "scicat_ingest"));
+  co_return co_await flows_.run_task(
+      ctx, "scicat_ingest", std::move(scicat_ingest_task),
+      keyed(ctx, "scicat_ingest"));
 }
 
 sim::Future<Status> Facility::recon_route_flow(flow::FlowContext ctx,
@@ -253,8 +255,9 @@ sim::Future<Status> Facility::recon_route_flow(flow::FlowContext ctx,
         auto outcome = co_await globus_.submit(std::move(spec));
         co_return outcome.status;
       };
-  Status moved = co_await flows_.run_task(ctx, route->to_remote_task, moved_task,
-                              keyed(ctx, route->to_remote_task));
+  Status moved = co_await flows_.run_task(
+      ctx, route->to_remote_task, std::move(moved_task),
+      keyed(ctx, route->to_remote_task));
   if (!moved.ok()) co_return moved;
 
   // Task 2: the facility's reconstruction submission (Slurm realtime job
@@ -282,8 +285,9 @@ sim::Future<Status> Facility::recon_route_flow(flow::FlowContext ctx,
                                      Bytes(double(scan.recon_bytes()) * 1.3),
                                      fnv1a64(remote_recon), eng_.now());
       };
-  Status recon = co_await flows_.run_task(ctx, route->recon_task, recon_task,
-                              keyed(ctx, route->recon_task));
+  Status recon = co_await flows_.run_task(
+      ctx, route->recon_task, std::move(recon_task),
+      keyed(ctx, route->recon_task));
   if (!recon.ok()) co_return recon;
 
   // Task 3: move the reconstruction products back to the beamline.
@@ -300,8 +304,9 @@ sim::Future<Status> Facility::recon_route_flow(flow::FlowContext ctx,
         auto outcome = co_await globus_.submit(std::move(spec));
         co_return outcome.status;
       };
-  Status back = co_await flows_.run_task(ctx, "globus_back_to_beamline", back_task,
-                              keyed(ctx, "globus_back_to_beamline"));
+  Status back = co_await flows_.run_task(
+      ctx, "globus_back_to_beamline", std::move(back_task),
+      keyed(ctx, "globus_back_to_beamline"));
   if (!back.ok()) co_return back;
 
   // Task 4: register the derived dataset with provenance.
@@ -317,8 +322,9 @@ sim::Future<Status> Facility::recon_route_flow(flow::FlowContext ctx,
                        parent == raw_pids_.end() ? "" : parent->second);
         co_return Status::success();
       };
-  co_return co_await flows_.run_task(ctx, "scicat_derived", scicat_derived_task,
-                              keyed(ctx, "scicat_derived"));
+  co_return co_await flows_.run_task(
+      ctx, "scicat_derived", std::move(scicat_derived_task),
+      keyed(ctx, "scicat_derived"));
 }
 
 sim::Future<Status> Facility::hpss_archive_flow(flow::FlowContext ctx) {
@@ -343,8 +349,9 @@ sim::Future<Status> Facility::hpss_archive_flow(flow::FlowContext ctx) {
         auto outcome = co_await globus_.submit(std::move(spec));
         co_return outcome.status;
       };
-  co_return co_await flows_.run_task(ctx, "archive_to_tape", archive_task,
-                              keyed(ctx, "archive_to_tape"));
+  co_return co_await flows_.run_task(
+      ctx, "archive_to_tape", std::move(archive_task),
+      keyed(ctx, "archive_to_tape"));
 }
 
 void Facility::stage_volume(
@@ -378,8 +385,9 @@ sim::Future<Status> Facility::publish_volume_flow(flow::FlowContext ctx) {
         staged_volumes_.erase(key);
         co_return Status::success();
       };
-  co_return co_await flows_.run_task(ctx, "publish_volume", publish_task,
-                              keyed(ctx, "publish_volume"));
+  co_return co_await flows_.run_task(
+      ctx, "publish_volume", std::move(publish_task),
+      keyed(ctx, "publish_volume"));
 }
 
 sim::Future<Status> Facility::prune_endpoint_flow(

@@ -66,8 +66,8 @@ sim::Future<Status> FleetWorld::recon_flow(flow::FlowContext ctx,
         (void)co_await site->link->send(scan.raw_bytes);
         co_return Status::success();
       };
-  Status out = co_await flows.run_task(ctx, "stage_out", stage_out_task,
-                                       keyed(ctx, "stage_out"));
+  Status out = co_await flows.run_task(
+      ctx, "stage_out", std::move(stage_out_task), keyed(ctx, "stage_out"));
   if (!out.ok()) co_return out;
 
   std::function<sim::Future<Status>()> recon_task =
@@ -79,8 +79,8 @@ sim::Future<Status> FleetWorld::recon_flow(flow::FlowContext ctx,
         auto outcome = co_await site->adapter->run(job);
         co_return outcome.status;
       };
-  Status recon =
-      co_await flows.run_task(ctx, "recon", recon_task, keyed(ctx, "recon"));
+  Status recon = co_await flows.run_task(ctx, "recon", std::move(recon_task),
+                                         keyed(ctx, "recon"));
   if (!recon.ok()) co_return recon;
 
   std::function<sim::Future<Status>()> stage_back_task =
@@ -90,8 +90,8 @@ sim::Future<Status> FleetWorld::recon_flow(flow::FlowContext ctx,
             Bytes(double(scan.recon_bytes) * 1.3));
         co_return Status::success();
       };
-  co_return co_await flows.run_task(ctx, "stage_back", stage_back_task,
-                                    keyed(ctx, "stage_back"));
+  co_return co_await flows.run_task(
+      ctx, "stage_back", std::move(stage_back_task), keyed(ctx, "stage_back"));
 }
 
 ScanRequest FleetWorld::make_scan(Rng* rng, const std::string& beamline,

@@ -7,21 +7,27 @@
 namespace alsflow::sched {
 
 void FacilityDirectory::add(FacilityInfo info) {
-  if (info.adapter == nullptr || has(info.name)) {
-    log_error("sched") << "facility '" << info.name << "' "
-                       << (info.adapter == nullptr ? "has no adapter"
-                                                   : "registered twice");
+  const char* fault = nullptr;
+  if (info.adapter == nullptr) {
+    fault = "has no adapter";
+  } else if (has(info.name)) {
+    fault = "registered twice";
+  } else if (infos_.size() == kMaxFacilities) {
+    fault = "is past the site limit";
+  }
+  if (fault != nullptr) {
+    log_error("sched") << "facility '" << info.name << "' " << fault;
     std::abort();
   }
   inflight_.emplace(info.name, 0);
   infos_.push_back(std::move(info));
 }
 
-bool FacilityDirectory::has(const std::string& facility) const {
-  for (const auto& info : infos_) {
-    if (info.name == facility) return true;
+std::uint64_t FacilityDirectory::site_bit(const std::string& facility) const {
+  for (std::size_t i = 0; i < infos_.size(); ++i) {
+    if (infos_[i].name == facility) return std::uint64_t(1) << i;
   }
-  return false;
+  return 0;
 }
 
 std::string FacilityDirectory::flow_for(const std::string& facility) const {

@@ -18,6 +18,7 @@
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 #include <functional>
 #include <map>
 #include <string>
@@ -62,12 +63,19 @@ struct FacilityState {
 
 class FacilityDirectory {
  public:
-  // Aborts with a log line, in every build, on a duplicate name or a null
-  // adapter.
+  // At most this many sites, so a set of them fits in one word (site_bit).
+  static constexpr std::size_t kMaxFacilities = 64;
+
+  // Aborts with a log line, in every build, on a duplicate name, a null
+  // adapter or a site past kMaxFacilities.
   void add(FacilityInfo info);
 
   const std::vector<FacilityInfo>& facilities() const { return infos_; }
-  bool has(const std::string& facility) const;
+  bool has(const std::string& facility) const {
+    return site_bit(facility) != 0;
+  }
+  // The bit of `facility`'s registration position (0 if unknown).
+  std::uint64_t site_bit(const std::string& facility) const;
   // flow_name registered for `facility` ("" if unknown).
   std::string flow_for(const std::string& facility) const;
 

@@ -1,54 +1,74 @@
 #include "sched/scheduler.hpp"
 
+#include <algorithm>
+#include <coroutine>
+#include <cstdint>
 #include <iterator>
 #include <memory>
-#include <set>
 #include <utility>
 
 namespace alsflow::sched {
 
 namespace {
 
-// Race any number of flow-run states against a timer. Resolves with the
-// index of the first state to become ready, or -1 if `window` elapses
-// first (the runs keep going either way — the caller owns their futures,
-// and `racing`, which it leaves untouched until the race resolves).
-//
-// Unlike sim::with_timeout this races N states, so every callback checks
-// that the one-shot event has not fired yet: two states resolving in the
-// same event cascade would otherwise both call trigger() and trip the
-// resolved-twice assert.
 using RunState_ = std::shared_ptr<sim::SharedState<flow::FlowRunResult>>;
 
-sim::Future<int> await_any(sim::Engine* eng,
-                           const std::vector<RunState_>* racing,
-                           Seconds window) {
-  const std::vector<RunState_>& states = *racing;
-  for (std::size_t i = 0; i < states.size(); ++i) {
-    if (states[i]->ready()) co_return int(i);
+// One launched attempt still in the race.
+struct Racing {
+  RunState_ state;
+  std::size_t attempt = 0;  // index into ScanResult::attempts
+  std::uint64_t token = 0;  // the race's callback on `state`
+};
+
+// Races the outstanding attempts against a timer from inside the awaiting
+// frame: resumes with the index of the first state to resolve, or -1 if
+// `window` elapses first (the runs keep going either way; the caller owns
+// `racing` and leaves it untouched until the race resolves).
+//
+// Every callback captures only this awaiter and an index, which
+// std::function stores inline, so a race allocates nothing of its own.
+// Whichever fires first detaches every other callback and the timer before
+// resuming, since resuming may destroy this awaiter; a state resolving in
+// the same cascade drops the detached callback unrun (SharedState).
+struct RaceAwaiter {
+  RaceAwaiter(sim::Engine& e, std::vector<Racing>& r, Seconds w)
+      : eng(e), racing(r), window(w) {}
+
+  sim::Engine& eng;
+  std::vector<Racing>& racing;
+  Seconds window;
+  int winner = -1;
+  sim::EventId timer = 0;
+  std::coroutine_handle<> waiter;
+
+  bool await_ready() {
+    for (std::size_t i = 0; i < racing.size(); ++i) {
+      if (racing[i].state->ready()) {
+        winner = int(i);
+        return true;
+      }
+    }
+    return false;
   }
-  sim::Event<int> ev;
-  std::vector<std::uint64_t> tokens(states.size(), 0);
-  for (std::size_t i = 0; i < states.size(); ++i) {
-    tokens[i] = states[i]->add_callback([ev, i] {
-      if (ev.triggered()) return;
-      sim::Event<int> e = ev;  // shared state; trigger resumes the racer
-      e.trigger(int(i));
-    });
+  void await_suspend(std::coroutine_handle<> h) {
+    waiter = h;
+    for (std::size_t i = 0; i < racing.size(); ++i) {
+      racing[i].token =
+          racing[i].state->add_callback([this, i] { finish(int(i)); });
+    }
+    timer = eng.schedule_in(window, [this] { finish(-1); });
   }
-  sim::EventId timer = eng->schedule_in(window, [ev] {
-    if (ev.triggered()) return;
-    sim::Event<int> e = ev;
-    e.trigger(-1);
-  });
-  int winner = co_await ev;
-  if (winner >= 0) eng->cancel(timer);
-  for (std::size_t i = 0; i < states.size(); ++i) {
-    if (int(i) == winner) continue;  // winner's callback was consumed
-    states[i]->remove_callback(tokens[i]);
+  int await_resume() const { return winner; }
+
+  void finish(int w) {
+    winner = w;
+    if (w >= 0) eng.cancel(timer);
+    for (std::size_t i = 0; i < racing.size(); ++i) {
+      if (int(i) != w) racing[i].state->remove_callback(racing[i].token);
+    }
+    waiter.resume();  // may destroy this awaiter; no member access after
   }
-  co_return winner;
-}
+};
 
 }  // namespace
 
@@ -62,15 +82,18 @@ FederatedScheduler::FederatedScheduler(sim::Engine& eng,
 sim::Future<flow::FlowRunResult> FederatedScheduler::launch(
     const std::string& facility, const std::string& scan_id) {
   dir_.note_placed(facility);
-  ++placements_[facility];
+  // placements_ never erases, so its key outlives every run it counts:
+  // the callback captures a pointer to it, not a copy of the name.
+  auto& [name, count] = *placements_.try_emplace(facility).first;
+  ++count;
   auto fut = flows_.run_flow(dir_.flow_for(facility), scan_id);
   if (fut.done()) {
     dir_.note_finished(facility);
   } else {
     // The placement count drops when the run resolves even if the
     // scheduler has long since stopped waiting on this attempt.
-    fut.state()->add_callback(
-        [this, facility] { dir_.note_finished(facility); });
+    const std::string* site = &name;
+    fut.state()->add_callback([this, site] { dir_.note_finished(*site); });
   }
   return fut;
 }
@@ -85,11 +108,12 @@ sim::Future<ScanResult> FederatedScheduler::submit_impl(ScanRequest scan,
   // to it while this one pins itself to the primary.
   std::vector<sim::Future<ScanResult>> replicas;
 
-  // Attempts still racing: parallel arrays into res.attempts.
-  std::vector<RunState_> states;
-  std::vector<std::size_t> attempt_of;
+  // Attempts still racing, at most one per launch.
+  std::vector<Racing> racing;
+  racing.reserve(std::size_t(std::max(cfg_.max_attempts, 1)));
 
-  std::set<std::string> tried;
+  // Sites tried since the last reset, one bit per directory position.
+  std::uint64_t tried = 0;
   int launches = 0;
   bool hedge_armed = false;
   std::string pending_hedge;
@@ -104,16 +128,16 @@ sim::Future<ScanResult> FederatedScheduler::submit_impl(ScanRequest scan,
     a.hedge = is_hedge;
     a.failover = is_failover;
     res.attempts.push_back(std::move(a));
-    attempt_of.push_back(res.attempts.size() - 1);
-    states.push_back(launch(facility, res.scan_id).state());
-    tried.insert(facility);
+    racing.push_back({launch(facility, res.scan_id).state(),
+                      res.attempts.size() - 1});
+    tried |= dir_.site_bit(facility);
     ++launches;
   };
 
   while (true) {
     if (eng_.now() - res.submitted_at > cfg_.give_up_after) break;  // lost
 
-    if (states.empty()) {
+    if (racing.empty()) {
       // PLACE: nothing racing — initial placement, or every launched
       // attempt failed terminally.
       if (launches >= cfg_.max_attempts) break;  // budget exhausted: lost
@@ -145,7 +169,7 @@ sim::Future<ScanResult> FederatedScheduler::submit_impl(ScanRequest scan,
 
     // RACE the outstanding attempts against the active window.
     const Seconds window = hedge_armed ? hedge_delay : cfg_.failover_timeout;
-    int winner = co_await await_any(&eng_, &states, window);
+    const int winner = co_await RaceAwaiter{eng_, racing, window};
 
     if (winner < 0) {
       // Window expired with everything still in flight.
@@ -167,15 +191,17 @@ sim::Future<ScanResult> FederatedScheduler::submit_impl(ScanRequest scan,
       auto snap = dir_.snapshot(eng_.now());
       std::vector<FacilityState> untried;
       for (auto& f : snap) {
-        if (tried.count(f.name) == 0) untried.push_back(std::move(f));
+        if ((tried & dir_.site_bit(f.name)) == 0) {
+          untried.push_back(std::move(f));
+        }
       }
       if (untried.empty()) {
         // Every site has been tried; forget history so a recovered site
         // can be re-placed rather than losing the scan.
-        tried.clear();
-        for (std::size_t i = 0; i < attempt_of.size(); ++i) {
+        tried = 0;
+        for (const Racing& r : racing) {
           // ...except sites still racing — relaunching those is pure waste.
-          tried.insert(res.attempts[attempt_of[i]].facility);
+          tried |= dir_.site_bit(res.attempts[r.attempt].facility);
         }
         continue;
       }
@@ -189,8 +215,8 @@ sim::Future<ScanResult> FederatedScheduler::submit_impl(ScanRequest scan,
     }
 
     // An attempt resolved.
-    const flow::FlowRunResult& r = states[std::size_t(winner)]->value();
-    AttemptRecord& a = res.attempts[attempt_of[std::size_t(winner)]];
+    const flow::FlowRunResult& r = racing[std::size_t(winner)].state->value();
+    AttemptRecord& a = res.attempts[racing[std::size_t(winner)].attempt];
     a.finished_at = eng_.now();
     a.result = r.state == flow::RunState::Completed
                    ? std::string("completed")
@@ -202,8 +228,7 @@ sim::Future<ScanResult> FederatedScheduler::submit_impl(ScanRequest scan,
       res.flow_run_id = r.run_id;
       break;
     }
-    states.erase(states.begin() + winner);
-    attempt_of.erase(attempt_of.begin() + winner);
+    racing.erase(racing.begin() + winner);
   }
 
   // A replicated scan completes only if every site's loop completed.

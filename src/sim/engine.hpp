@@ -8,11 +8,17 @@
 //
 // Events scheduled for the same timestamp run in insertion order (stable),
 // which keeps causality intuitive: "schedule A then B at t" runs A first.
+//
+// Storage (DESIGN.md §7): handlers live in a vector of slots recycled
+// through a free list, so a steady stream of events allocates nothing but
+// what a std::function needs for a large capture. An EventId is
+// `generation << 32 | slot`; running or cancelling a handler bumps its
+// slot's generation, so a stale id never reaches the slot's next occupant
+// and a queue entry whose generation is stale is a tombstone.
 #pragma once
 
 #include <cstdint>
 #include <functional>
-#include <map>
 #include <queue>
 #include <vector>
 
@@ -20,6 +26,7 @@
 
 namespace alsflow::sim {
 
+// Never 0: callers use 0 to mean "no event".
 using EventId = std::uint64_t;
 
 class Engine {
@@ -35,7 +42,8 @@ class Engine {
   // Schedule `fn` after a relative delay (clamped to 0).
   EventId schedule_in(Seconds dt, std::function<void()> fn);
 
-  // Cancel a pending event. Returns false if it already ran or never existed.
+  // Cancel a pending event. Returns false if it already ran, was
+  // cancelled, or never existed.
   bool cancel(EventId id);
 
   // Execute the next pending event; returns false when the queue is empty.
@@ -47,7 +55,9 @@ class Engine {
   // Run events with time <= t, then set now() = t (even if queue nonempty).
   void run_until(Seconds t);
 
-  std::size_t pending_events() const { return handlers_.size(); }
+  std::size_t pending_events() const {
+    return slots_.size() - free_slots_.size();
+  }
 
   // Total events executed (for diagnostics and engine tests).
   std::uint64_t executed_events() const { return executed_; }
@@ -56,21 +66,30 @@ class Engine {
   struct Entry {
     Seconds time;
     std::uint64_t seq;
-    EventId id;
+    std::uint32_t slot;
+    std::uint32_t generation;
     bool operator>(const Entry& o) const {
       if (time != o.time) return time > o.time;
       return seq > o.seq;
     }
   };
+  struct Slot {
+    std::function<void()> fn;  // empty while the slot is free
+    std::uint32_t generation = 1;
+  };
+
+  bool is_live(const Entry& e) const {
+    return slots_[e.slot].generation == e.generation;
+  }
+  // Takes the handler out of a live slot and frees the slot.
+  std::function<void()> release(std::uint32_t slot);
 
   Seconds now_ = 0.0;
   std::uint64_t next_seq_ = 0;
-  EventId next_id_ = 1;
   std::uint64_t executed_ = 0;
   std::priority_queue<Entry, std::vector<Entry>, std::greater<Entry>> queue_;
-  // Cancelling removes the handler; the queue entry becomes a tombstone that
-  // is skipped when popped.
-  std::map<EventId, std::function<void()>> handlers_;
+  std::vector<Slot> slots_;
+  std::vector<std::uint32_t> free_slots_;
 };
 
 }  // namespace alsflow::sim

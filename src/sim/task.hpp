@@ -39,6 +39,10 @@ namespace alsflow::sim {
 
 struct Unit {};
 
+// Waiters run in registration order when the value is set. The first
+// coroutine to wait while nothing else is registered is kept inline, so
+// the common case — one co_await on one future — allocates no callback
+// list; every other registration goes through the list behind it.
 template <typename T>
 class SharedState {
  public:
@@ -49,18 +53,35 @@ class SharedState {
     return *value_;
   }
 
+  // The caller keeps the state alive for the call (a promise holds it in
+  // its frame; Event::trigger holds a reference). A resumed waiter may
+  // register or remove callbacks meanwhile: a removed callback that has
+  // not run yet never runs, and one registered now never runs either.
   void set_value(T v) {
     assert(!ready() && "future resolved twice");
     value_ = std::move(v);
-    // Take the callback list first: a resumed waiter may register new
-    // callbacks on other states or re-enter this one via ready().
-    std::vector<std::pair<std::uint64_t, std::function<void()>>> cbs;
-    cbs.swap(callbacks_);
-    for (auto& [token, fn] : cbs) fn();
+    if (first_waiter_) std::exchange(first_waiter_, nullptr).resume();
+    const std::size_t n = callbacks_.size();
+    for (std::size_t i = 0; i < n; ++i) {
+      std::function<void()> fn = std::move(callbacks_[i].second);
+      if (fn) fn();
+    }
+    // Free the list: a resolved state can stay alive for a whole campaign.
+    std::vector<std::pair<std::uint64_t, std::function<void()>>>().swap(
+        callbacks_);
+  }
+
+  // Resume `h` once the value is set.
+  void add_waiter(std::coroutine_handle<> h) {
+    if (!first_waiter_ && callbacks_.empty()) {
+      first_waiter_ = h;
+    } else {
+      add_callback([h] { h.resume(); });
+    }
   }
 
   std::uint64_t add_callback(std::function<void()> fn) {
-    std::uint64_t token = next_token_++;
+    const std::uint64_t token = next_token_++;
     callbacks_.emplace_back(token, std::move(fn));
     return token;
   }
@@ -68,7 +89,12 @@ class SharedState {
   void remove_callback(std::uint64_t token) {
     for (auto it = callbacks_.begin(); it != callbacks_.end(); ++it) {
       if (it->first == token) {
-        callbacks_.erase(it);
+        // While set_value walks the list, blank the entry in place.
+        if (ready()) {
+          it->second = nullptr;
+        } else {
+          callbacks_.erase(it);
+        }
         return;
       }
     }
@@ -76,8 +102,9 @@ class SharedState {
 
  private:
   std::optional<T> value_;
+  std::uint32_t next_token_ = 1;
+  std::coroutine_handle<> first_waiter_;
   std::vector<std::pair<std::uint64_t, std::function<void()>>> callbacks_;
-  std::uint64_t next_token_ = 1;
 };
 
 template <typename T>
@@ -85,9 +112,7 @@ struct StateAwaiter {
   std::shared_ptr<SharedState<T>> state;
 
   bool await_ready() const { return state->ready(); }
-  void await_suspend(std::coroutine_handle<> h) {
-    state->add_callback([h] { h.resume(); });
-  }
+  void await_suspend(std::coroutine_handle<> h) { state->add_waiter(h); }
   T await_resume() const { return state->value(); }
 };
 
@@ -191,7 +216,11 @@ class Event {
   Event() : state_(std::make_shared<SharedState<T>>()) {}
 
   bool triggered() const { return state_->ready(); }
-  void trigger(T v = T{}) { state_->set_value(std::move(v)); }
+  // Holds its own reference: a waiter resumed here may drop this Event's.
+  void trigger(T v = T{}) {
+    const std::shared_ptr<SharedState<T>> state = state_;
+    state->set_value(std::move(v));
+  }
   const T& value() const { return state_->value(); }
   std::shared_ptr<SharedState<T>> state() const { return state_; }
 

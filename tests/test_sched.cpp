@@ -17,6 +17,9 @@
 //   merged queries   — the sharded Table-2 path over per-beamline run
 //                      databases reproduces what one unsharded database
 //                      over the same runs reports, exactly.
+//   allocation budget — operator new calls per simulated scan stay within
+//                      budget on bench_sim_engine's rigs
+//                      (bench/sim_engine_rigs.hpp).
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -37,6 +40,7 @@
 #include "sched/fleet.hpp"
 #include "sched/policy.hpp"
 #include "sched/scheduler.hpp"
+#include "sim_engine_rigs.hpp"
 
 namespace alsflow::sched {
 namespace {
@@ -268,6 +272,15 @@ TEST(FacilityDirectory, BadEntryAbortsInEveryBuild) {
   info.adapter = &adapter;
   dir.add(info);
   EXPECT_DEATH(dir.add(info), "facility 'nersc' registered twice");
+  while (dir.facilities().size() < FacilityDirectory::kMaxFacilities) {
+    info.name = "site-" + std::to_string(dir.facilities().size());
+    dir.add(info);
+  }
+  EXPECT_EQ(dir.site_bit("nersc"), 1u);
+  EXPECT_EQ(dir.site_bit("site-63"), std::uint64_t(1) << 63);
+  EXPECT_EQ(dir.site_bit("unknown"), 0u);
+  info.name = "site-64";
+  EXPECT_DEATH(dir.add(info), "facility 'site-64' is past the site limit");
 }
 
 // ---------------------------------------------------------------------------
@@ -660,6 +673,34 @@ TEST(FleetMergedQueries, MatchUnshardedDatabaseExactly) {
     EXPECT_DOUBLE_EQ(merged_q.p95, single_q.p95);
     EXPECT_DOUBLE_EQ(merged_q.p99, single_q.p99);
   }
+}
+
+// ---------------------------------------------------------------------------
+// Allocation budget
+// ---------------------------------------------------------------------------
+//
+// The host cost of a simulated scan, in operator new calls, on the rigs
+// bench_sim_engine runs at full size. The rigs read 27, 14 and 73; each
+// bound leaves a few calls of headroom for another libstdc++. Each rig
+// here runs in tens of milliseconds.
+
+TEST(AllocationBudget, StaticDualRaceWithin33PerScan) {
+  bench::SchedulerRaceRig rig("static_dual");
+  EXPECT_LE(rig.allocations_per_scan(2000), 33.0);
+  EXPECT_EQ(rig.completed(), 2000u);
+}
+
+TEST(AllocationBudget, GreedyRaceWithin20PerScan) {
+  bench::SchedulerRaceRig rig("greedy");
+  EXPECT_LE(rig.allocations_per_scan(2000), 20.0);
+  EXPECT_EQ(rig.completed(), 2000u);
+}
+
+TEST(AllocationBudget, FleetCampaignWithin80PerScan) {
+  const bench::FleetAllocations run =
+      bench::fleet_allocations(bench::fleet_config(8, 128));
+  EXPECT_LE(run.per_scan, 80.0);
+  EXPECT_EQ(run.report.lost, 0u);
 }
 
 }  // namespace

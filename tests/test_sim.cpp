@@ -1,7 +1,14 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <functional>
+#include <map>
+#include <memory>
+#include <queue>
+#include <string>
 #include <vector>
 
+#include "common/rng.hpp"
 #include "sim/engine.hpp"
 #include "sim/resources.hpp"
 #include "sim/task.hpp"
@@ -81,6 +88,158 @@ TEST(Engine, EventsScheduledDuringRunExecute) {
   eng.run();
   EXPECT_EQ(depth, 2);
   EXPECT_EQ(eng.executed_events(), 2u);
+}
+
+TEST(Engine, StaleIdNeverCancelsAReusedSlot) {
+  Engine eng;
+  std::vector<int> ran;
+  const EventId first = eng.schedule_at(1.0, [&] { ran.push_back(1); });
+  EXPECT_NE(first, 0u);
+  eng.run();
+  // The next event takes the freed slot under a new generation.
+  const EventId second = eng.schedule_at(2.0, [&] { ran.push_back(2); });
+  EXPECT_NE(second, first);
+  EXPECT_EQ(std::uint32_t(second), std::uint32_t(first));
+  EXPECT_FALSE(eng.cancel(first));  // ran: its id is dead
+  EXPECT_EQ(eng.pending_events(), 1u);
+  EXPECT_TRUE(eng.cancel(second));
+  const EventId third = eng.schedule_at(3.0, [&] { ran.push_back(3); });
+  EXPECT_FALSE(eng.cancel(second));  // cancelled: dead too
+  EXPECT_FALSE(eng.cancel(first));
+  EXPECT_FALSE(eng.cancel(0));       // 0 is "no event", never an id
+  eng.run();
+  EXPECT_EQ(ran, (std::vector<int>{1, 3}));
+  EXPECT_FALSE(eng.cancel(third));
+  EXPECT_EQ(eng.pending_events(), 0u);
+}
+
+// The map-keyed engine this one replaced, kept as the oracle: handlers in
+// a std::map by sequential id, the queue's tombstones found by lookup.
+class MapEngine {
+ public:
+  Seconds now() const { return now_; }
+  EventId schedule_at(Seconds t, std::function<void()> fn) {
+    t = std::max(t, now_);
+    const EventId id = next_id_++;
+    queue_.push(Entry{t, next_seq_++, id});
+    handlers_.emplace(id, std::move(fn));
+    return id;
+  }
+  EventId schedule_in(Seconds dt, std::function<void()> fn) {
+    return schedule_at(now_ + std::max(dt, 0.0), std::move(fn));
+  }
+  bool cancel(EventId id) { return handlers_.erase(id) > 0; }
+  bool step() {
+    while (!queue_.empty()) {
+      const Entry e = queue_.top();
+      queue_.pop();
+      auto it = handlers_.find(e.id);
+      if (it == handlers_.end()) continue;
+      now_ = e.time;
+      std::function<void()> fn = std::move(it->second);
+      handlers_.erase(it);
+      ++executed_;
+      fn();
+      return true;
+    }
+    return false;
+  }
+  void run() {
+    while (step()) {
+    }
+  }
+  void run_until(Seconds t) {
+    while (!queue_.empty()) {
+      if (handlers_.find(queue_.top().id) == handlers_.end()) {
+        queue_.pop();
+        continue;
+      }
+      if (queue_.top().time > t) break;
+      step();
+    }
+    now_ = std::max(now_, t);
+  }
+  std::size_t pending_events() const { return handlers_.size(); }
+  std::uint64_t executed_events() const { return executed_; }
+
+ private:
+  struct Entry {
+    Seconds time;
+    std::uint64_t seq;
+    EventId id;
+    bool operator>(const Entry& o) const {
+      if (time != o.time) return time > o.time;
+      return seq > o.seq;
+    }
+  };
+  Seconds now_ = 0.0;
+  std::uint64_t next_seq_ = 0;
+  EventId next_id_ = 1;
+  std::uint64_t executed_ = 0;
+  std::priority_queue<Entry, std::vector<Entry>, std::greater<Entry>> queue_;
+  std::map<EventId, std::function<void()>> handlers_;
+};
+
+// One random program over engine E: schedules (tied times, relative
+// delays), cancels of live, ran, cancelled and reused-slot ids, steps and
+// partial runs, with handlers that schedule and cancel in turn. Returns
+// every observation as text; two engines agree iff the texts match.
+template <typename E>
+std::string random_program(std::uint64_t seed) {
+  E eng;
+  Rng rng(seed);
+  std::vector<EventId> ids;  // by label: this engine's id for each event
+  std::string trace;
+  auto note = [&](const std::string& what) {
+    trace += what + " now=" + std::to_string(eng.now()) +
+             " pending=" + std::to_string(eng.pending_events()) +
+             " executed=" + std::to_string(eng.executed_events()) + "\n";
+  };
+  auto cancel_some = [&] {
+    if (ids.empty()) return;
+    const auto label =
+        std::size_t(rng.uniform_int(0, std::int64_t(ids.size()) - 1));
+    note("cancel " + std::to_string(label) + " -> " +
+         (eng.cancel(ids[label]) ? "true" : "false"));
+  };
+  std::function<void()> schedule_one = [&] {
+    const std::size_t label = ids.size();
+    auto handler = [&, label] {
+      note("ran " + std::to_string(label));
+      if (rng.bernoulli(0.3)) schedule_one();
+      if (rng.bernoulli(0.2)) cancel_some();
+    };
+    // Whole-second times tie often; schedule_in also goes relative.
+    const bool absolute = rng.bernoulli(0.5);
+    const double t = double(rng.uniform_int(0, absolute ? 20 : 5));
+    ids.push_back(absolute ? eng.schedule_at(t, handler)
+                           : eng.schedule_in(t, handler));
+  };
+  for (int op = 0; op < 400; ++op) {
+    const std::int64_t kind = rng.uniform_int(0, 9);
+    if (kind < 4) {
+      schedule_one();
+      note("scheduled " + std::to_string(ids.size() - 1));
+    } else if (kind < 7) {
+      cancel_some();
+    } else if (kind < 9) {
+      note(std::string("step -> ") + (eng.step() ? "true" : "false"));
+    } else {
+      eng.run_until(eng.now() + double(rng.uniform_int(0, 4)));
+      note("run_until");
+    }
+  }
+  eng.run();
+  note("drained");
+  return trace;
+}
+
+TEST(Engine, SlotEngineMatchesMapOracleOnRandomPrograms) {
+  for (std::uint64_t seed = 1; seed <= 200; ++seed) {
+    const std::string slots = random_program<Engine>(seed);
+    const std::string oracle = random_program<MapEngine>(seed);
+    ASSERT_EQ(slots, oracle) << "seed " << seed;
+  }
 }
 
 Proc simple_process(Engine& eng, double& finished_at) {
@@ -164,6 +323,72 @@ Proc timeout_waiter(Engine& eng, Future<int> fut, Seconds timeout,
                     bool& completed, double& at) {
   completed = co_await with_timeout(eng, fut, timeout);
   at = eng.now();
+}
+
+Proc record_on_resolve(std::shared_ptr<SharedState<int>> state, int label,
+                       std::vector<int>* order) {
+  const Future<int> resolved(state);  // named, as DESIGN.md §7 (c) asks
+  co_await resolved;
+  order->push_back(label);
+}
+
+// Waiters resume in registration order whether they are coroutines (the
+// first may be kept inline) or callbacks, with removals in between.
+TEST(SharedState, WaitersRunInRegistrationOrderAcrossRemovals) {
+  std::vector<int> order;
+  auto callback = [&order](int label) {
+    return [&order, label] { order.push_back(label); };
+  };
+
+  // Remove the first of three callbacks, then add a coroutine and a
+  // callback behind the other two.
+  auto a = std::make_shared<SharedState<int>>();
+  const std::uint64_t first = a->add_callback(callback(1));
+  a->add_callback(callback(2));
+  a->add_callback(callback(3));
+  a->remove_callback(first);
+  record_on_resolve(a, 4, &order).detach();
+  a->add_callback(callback(5));
+  a->set_value(0);
+  EXPECT_EQ(order, (std::vector<int>{2, 3, 4, 5}));
+
+  // The inline first coroutine stays first; remove the middle callback.
+  order.clear();
+  auto b = std::make_shared<SharedState<int>>();
+  record_on_resolve(b, 1, &order).detach();
+  const std::uint64_t middle = b->add_callback(callback(2));
+  b->add_callback(callback(3));
+  b->remove_callback(middle);
+  record_on_resolve(b, 4, &order).detach();
+  b->add_callback(callback(5));
+  b->set_value(0);
+  EXPECT_EQ(order, (std::vector<int>{1, 3, 4, 5}));
+
+  // Everything removed: the next coroutine may go inline again, and still
+  // runs before what is registered after it.
+  order.clear();
+  auto c = std::make_shared<SharedState<int>>();
+  c->remove_callback(c->add_callback(callback(1)));
+  record_on_resolve(c, 2, &order).detach();
+  c->add_callback(callback(3));
+  c->set_value(0);
+  EXPECT_EQ(order, (std::vector<int>{2, 3}));
+}
+
+// A callback removed while the state is resolving, before its turn, never
+// runs; this is what lets a race detach its losers mid-cascade.
+TEST(SharedState, CallbackRemovedDuringResolutionNeverRuns) {
+  std::vector<int> order;
+  auto state = std::make_shared<SharedState<int>>();
+  std::uint64_t later = 0;
+  state->add_callback([&] {
+    order.push_back(1);
+    state->remove_callback(later);
+  });
+  later = state->add_callback([&] { order.push_back(2); });
+  state->add_callback([&] { order.push_back(3); });
+  state->set_value(0);
+  EXPECT_EQ(order, (std::vector<int>{1, 3}));
 }
 
 TEST(Coro, TimeoutFiresWhenFutureSlow) {
