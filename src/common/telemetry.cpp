@@ -12,15 +12,15 @@ namespace alsflow::telemetry {
 // Tracer
 // ---------------------------------------------------------------------------
 
-SpanId Tracer::begin(std::string component, std::string name, SpanId parent,
-                     ClockDomain domain, double t) {
+SpanId Tracer::begin(std::string_view component, std::string_view name,
+                     SpanId parent, ClockDomain domain, double t) {
   LockGuard lock(m_);
   SpanRecord rec;
   rec.id = next_++;
   rec.parent = parent;
   rec.domain = domain;
-  rec.component = std::move(component);
-  rec.name = std::move(name);
+  rec.component = component;
+  rec.name = name;
   rec.start = t;
   index_[rec.id] = spans_.size();
   spans_.push_back(std::move(rec));
@@ -38,22 +38,22 @@ void Tracer::end(SpanId id, double t) {
   if (SpanRecord* rec = find_locked(id)) rec->end = t;
 }
 
-void Tracer::attr(SpanId id, std::string key, std::string value) {
+void Tracer::attr(SpanId id, std::string_view key, std::string_view value) {
   if (id == 0) return;
   LockGuard lock(m_);
   if (SpanRecord* rec = find_locked(id)) {
-    rec->attrs.emplace_back(std::move(key), std::move(value));
+    rec->attrs.emplace_back(std::string(key), std::string(value));
   }
 }
 
-void Tracer::attr(SpanId id, std::string key, double value) {
+void Tracer::attr(SpanId id, std::string_view key, double value) {
   char buf[32];
   std::snprintf(buf, sizeof buf, "%.6g", value);
-  attr(id, std::move(key), std::string(buf));
+  attr(id, key, std::string_view(buf));
 }
 
-void Tracer::attr(SpanId id, std::string key, std::uint64_t value) {
-  attr(id, std::move(key), std::to_string(value));
+void Tracer::attr(SpanId id, std::string_view key, std::uint64_t value) {
+  attr(id, key, std::string_view(std::to_string(value)));
 }
 
 std::vector<SpanRecord> Tracer::spans() const {
@@ -452,6 +452,16 @@ double Telemetry::wall_now() {
   using clock = std::chrono::steady_clock;
   static const clock::time_point t0 = clock::now();
   return std::chrono::duration<double>(clock::now() - t0).count();
+}
+
+void Telemetry::send_event(double t, std::string_view component,
+                           std::string_view kind, std::string_view target,
+                           double value, bool ok, std::string_view detail) {
+  if (EventSink* s = sink_.load(std::memory_order_acquire)) {
+    s->on_event(MonitorEvent{t, std::string(component), std::string(kind),
+                             std::string(target), value, ok,
+                             std::string(detail)});
+  }
 }
 
 Telemetry& global() {

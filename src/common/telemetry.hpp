@@ -27,9 +27,11 @@
 //
 // Everything hangs off a Telemetry instance; global() is the process-wide
 // default used by the instrumented services. Telemetry is *disabled* by
-// default: every instrumentation site guards on enabled() — one relaxed
-// atomic load and a branch — so the disabled path costs nothing measurable
-// and the sim stays byte-for-byte deterministic with or without it.
+// default. Instrumented sites go through Telemetry's two forms — emit()
+// for a monitor event, begin()/attr()/end() for a span — which check their
+// channel inline first, so the disabled path is one relaxed atomic load
+// and a branch, and the sim stays byte-for-byte deterministic with or
+// without it.
 #pragma once
 
 #include <atomic>
@@ -37,10 +39,12 @@
 #include <map>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <unordered_map>
 #include <utility>
 #include <vector>
 
+#include "common/result.hpp"
 #include "common/stats.hpp"
 #include "common/thread_safety.hpp"
 
@@ -73,13 +77,14 @@ struct SpanRecord {
 class Tracer {
  public:
   // Begin a span at time `t` (in `domain`'s clock). Returns its id.
-  SpanId begin(std::string component, std::string name, SpanId parent, ClockDomain domain, double t);
+  SpanId begin(std::string_view component, std::string_view name,
+               SpanId parent, ClockDomain domain, double t);
   // Close a span at time `t`. Unknown ids (including 0) are ignored.
   void end(SpanId id, double t);
 
-  void attr(SpanId id, std::string key, std::string value);
-  void attr(SpanId id, std::string key, double value);
-  void attr(SpanId id, std::string key, std::uint64_t value);
+  void attr(SpanId id, std::string_view key, std::string_view value);
+  void attr(SpanId id, std::string_view key, double value);
+  void attr(SpanId id, std::string_view key, std::uint64_t value);
 
   std::vector<SpanRecord> spans() const;  // snapshot, in begin order
   std::size_t span_count() const;
@@ -245,8 +250,8 @@ class EventSink {
 
 class Telemetry {
  public:
-  // Disabled by default; instrumented services check this before touching
-  // the tracer or registry.
+  // Disabled by default; begin() checks it, and instrumented services check
+  // it before touching the registry.
   bool enabled() const { return enabled_.load(std::memory_order_relaxed); }
   void set_enabled(bool on) { enabled_.store(on, std::memory_order_relaxed); }
 
@@ -269,8 +274,47 @@ class Telemetry {
   void set_event_sink(EventSink* sink) {
     sink_.store(sink, std::memory_order_release);
   }
-  void emit(const MonitorEvent& ev) {
-    if (EventSink* s = sink_.load(std::memory_order_acquire)) s->on_event(ev);
+
+  // The instrumentation forms: an instrumented site emits an event with one
+  // emit() call and records a span with one begin()/attr()/end() trio. Each
+  // checks its channel inline before touching an argument, and strings pass
+  // as views, so with the channel off a call is one relaxed load (emit,
+  // begin) or one compare of the span id (attr, end) and allocates nothing.
+  // A site that must *build* a string argument or read a clock does so
+  // under its own check of the channel.
+
+  // One monitor event; does nothing while no sink is installed.
+  void emit(double t, std::string_view component, std::string_view kind,
+            std::string_view target, double value, bool ok = true,
+            std::string_view detail = {}) {
+    if (observing()) send_event(t, component, kind, target, value, ok, detail);
+  }
+  // ok and detail from a Status: a failure's detail is its error code.
+  void emit(double t, std::string_view component, std::string_view kind,
+            std::string_view target, double value, const Status& status) {
+    if (!observing()) return;
+    send_event(t, component, kind, target, value, status.ok(),
+               status.ok() ? std::string_view() : status.error().code);
+  }
+
+  // Opens a span at `t`; returns 0 while tracing is off, and attr()/end()
+  // ignore span 0.
+  SpanId begin(std::string_view component, std::string_view name,
+               SpanId parent, double t,
+               ClockDomain domain = ClockDomain::Sim) {
+    return enabled() ? tracer_.begin(component, name, parent, domain, t) : 0;
+  }
+  void attr(SpanId id, std::string_view key, std::string_view value) {
+    if (id != 0) tracer_.attr(id, key, value);
+  }
+  void attr(SpanId id, std::string_view key, double value) {
+    if (id != 0) tracer_.attr(id, key, value);
+  }
+  void attr(SpanId id, std::string_view key, std::uint64_t value) {
+    if (id != 0) tracer_.attr(id, key, value);
+  }
+  void end(SpanId id, double t) {
+    if (id != 0) tracer_.end(id, t);
   }
 
   void clear() {
@@ -279,6 +323,11 @@ class Telemetry {
   }
 
  private:
+  // emit()'s slow path: builds the MonitorEvent and hands it to the sink.
+  void send_event(double t, std::string_view component, std::string_view kind,
+                  std::string_view target, double value, bool ok,
+                  std::string_view detail);
+
   std::atomic<bool> enabled_{false};
   std::atomic<EventSink*> sink_{nullptr};
   Tracer tracer_;

@@ -28,7 +28,6 @@ class MultiscaleVolume {
                                 std::size_t chunk = 32);
 
   std::size_t n_levels() const { return levels_.size(); }
-  std::size_t chunk_edge() const { return chunk_; }
   const tomo::Volume& level(std::size_t l) const { return levels_[l]; }
 
   // Chunk grid shape at a level.
@@ -46,9 +45,9 @@ class MultiscaleVolume {
   // paper's reconstruction products, at our scale).
   Bytes total_bytes() const;
 
-  // Bytes one materialized chunk occupies at `level`: chunks are cubic and
-  // zero-padded at volume edges, so every copy is chunk_edge()^3 float32
-  // regardless of position. 0 for an invalid level. This is the unit a
+  // Bytes one materialized chunk occupies at `level`: chunks are cubic (the
+  // edge given to build()) and zero-padded at volume edges, so every copy is
+  // edge^3 float32 regardless of position. 0 for an invalid level. This is the unit a
   // chunk cache must account per entry to match what chunk() allocates.
   Bytes chunk_bytes(std::size_t level) const;
 

@@ -263,35 +263,28 @@ sim::Future<FlowRunResult> FlowEngine::run_flow_impl(std::string name,
   result.run_id = db_.create_run(name, submitted_at, parameters);
 
   auto& tel = telemetry::global();
-  telemetry::SpanId flow_span = 0;
-  if (tel.enabled()) {
-    // The flow span opens at submission so the pool queue wait is visible
-    // inside it (a child span closes when the pool slot is acquired).
-    flow_span = tel.tracer().begin("flow", name, 0,
-                                   telemetry::ClockDomain::Sim, sim_.now());
-    tel.tracer().attr(flow_span, "run_id", result.run_id);
-    if (!parameters.empty()) {
-      tel.tracer().attr(flow_span, "parameters", parameters);
-    }
-    tel.metrics()
-        .counter("alsflow_flow_runs_started_total", "flow=\"" + name + "\"")
-        .add();
-  }
+  // The flow span opens at submission so the pool queue wait is visible
+  // inside it (a child span closes when the pool slot is acquired).
+  const telemetry::SpanId flow_span = tel.begin("flow", name, 0, sim_.now());
+  tel.attr(flow_span, "run_id", result.run_id);
+  if (!parameters.empty()) tel.attr(flow_span, "parameters", parameters);
 
   sim::Semaphore& sem = pool(options.work_pool);
   if (tel.enabled()) {
-    tel.metrics()
-        .gauge("alsflow_pool_queue_depth", "pool=\"" + options.work_pool + "\"")
+    auto& m = tel.metrics();
+    m.counter("alsflow_flow_runs_started_total", "flow=\"" + name + "\"")
+        .add();
+    m.gauge("alsflow_pool_queue_depth", "pool=\"" + options.work_pool + "\"")
         .set(double(sem.waiting()));
   }
-  telemetry::SpanId queue_span = 0;
-  if (flow_span != 0) {
-    queue_span = tel.tracer().begin("flow", "pool_wait", flow_span,
-                                    telemetry::ClockDomain::Sim, sim_.now());
-    tel.tracer().attr(queue_span, "pool", options.work_pool);
-  }
+  // A child opens only under a recorded parent, so a flow span missed while
+  // tracing was off never leaves its children as orphan roots.
+  const telemetry::SpanId queue_span =
+      flow_span != 0 ? tel.begin("flow", "pool_wait", flow_span, sim_.now())
+                     : 0;
+  tel.attr(queue_span, "pool", options.work_pool);
   co_await sem.acquire();
-  if (queue_span != 0) tel.tracer().end(queue_span, sim_.now());
+  tel.end(queue_span, sim_.now());
   sim::SemaphoreGuard guard(sem);
 
   db_.mark_running(result.run_id, sim_.now());
@@ -324,10 +317,8 @@ sim::Future<FlowRunResult> FlowEngine::run_flow_impl(std::string name,
     // replay() uses to find interrupted work.
     result.state = RunState::Running;
     result.status = status;
-    if (flow_span != 0) {
-      tel.tracer().attr(flow_span, "state", "interrupted");
-      tel.tracer().end(flow_span, sim_.now());
-    }
+    tel.attr(flow_span, "state", "interrupted");
+    tel.end(flow_span, sim_.now());
     co_return result;
   }
 
@@ -335,30 +326,17 @@ sim::Future<FlowRunResult> FlowEngine::run_flow_impl(std::string name,
   result.status = status;
   db_.mark_finished(result.run_id, result.state, sim_.now(),
                     status.ok() ? "" : status.error().code);
-  if (flow_span != 0) {
-    tel.tracer().attr(flow_span, "state", run_state_name(result.state));
-    tel.tracer().attr(flow_span, "attempts", std::uint64_t(attempts));
-    if (!status.ok()) {
-      tel.tracer().attr(flow_span, "error", status.error().code);
-    }
-    tel.tracer().end(flow_span, sim_.now());
-  }
+  tel.attr(flow_span, "state", run_state_name(result.state));
+  tel.attr(flow_span, "attempts", std::uint64_t(attempts));
+  if (!status.ok()) tel.attr(flow_span, "error", status.error().code);
+  tel.end(flow_span, sim_.now());
   if (tel.enabled() && !status.ok()) {
     tel.metrics()
         .counter("alsflow_flow_runs_failed_total", "flow=\"" + name + "\"")
         .add();
   }
-  if (tel.observing()) {
-    telemetry::MonitorEvent ev;
-    ev.t = sim_.now();
-    ev.component = "flow";
-    ev.kind = "run_done";
-    ev.target = name;
-    ev.value = sim_.now() - submitted_at;
-    ev.ok = status.ok();
-    ev.detail = status.ok() ? "" : status.error().code;
-    tel.emit(ev);
-  }
+  tel.emit(sim_.now(), "flow", "run_done", name, sim_.now() - submitted_at,
+           status);
   co_return result;
 }
 
@@ -402,13 +380,12 @@ sim::Future<Status> FlowEngine::run_task_impl(
       rec.started_at = rec.finished_at = sim_.now();
       rec.idempotency_key = options.idempotency_key;
       db_.record_task(rec);
+      // Zero-length span: the skip is visible in the trace.
+      const telemetry::SpanId skip =
+          tel.begin("task", task_name, ctx.span, sim_.now());
+      tel.attr(skip, "skipped", "idempotency_hit");
+      tel.end(skip, sim_.now());
       if (tel.enabled()) {
-        // Zero-length span: the skip is visible in the trace.
-        telemetry::SpanId skip =
-            tel.tracer().begin("task", task_name, ctx.span,
-                               telemetry::ClockDomain::Sim, sim_.now());
-        tel.tracer().attr(skip, "skipped", "idempotency_hit");
-        tel.tracer().end(skip, sim_.now());
         tel.metrics().counter("alsflow_task_idempotent_skips_total").add();
       }
       co_return Status::success();
@@ -421,11 +398,8 @@ sim::Future<Status> FlowEngine::run_task_impl(
   rec.started_at = sim_.now();
   rec.idempotency_key = options.idempotency_key;
 
-  telemetry::SpanId task_span = 0;
-  if (tel.enabled()) {
-    task_span = tel.tracer().begin("task", task_name, ctx.span,
-                                   telemetry::ClockDomain::Sim, sim_.now());
-  }
+  const telemetry::SpanId task_span =
+      tel.begin("task", task_name, ctx.span, sim_.now());
   // Expose the active task span so the task body can parent its transfer /
   // HPC spans under it. Keyed by run_id: tasks of one flow run execute
   // sequentially, but runs of different flows interleave freely.
@@ -465,14 +439,10 @@ sim::Future<Status> FlowEngine::run_task_impl(
   rec.state = status.ok() ? RunState::Completed : RunState::Failed;
   rec.error = status.ok() ? "" : status.error().code;
   if (!crash_interrupted) db_.record_task(rec);
-  if (task_span != 0) {
-    tel.tracer().attr(task_span, "attempts", std::uint64_t(rec.attempts));
-    tel.tracer().attr(task_span, "state", run_state_name(rec.state));
-    if (!status.ok()) {
-      tel.tracer().attr(task_span, "error", status.error().code);
-    }
-    tel.tracer().end(task_span, sim_.now());
-  }
+  tel.attr(task_span, "attempts", std::uint64_t(rec.attempts));
+  tel.attr(task_span, "state", run_state_name(rec.state));
+  if (!status.ok()) tel.attr(task_span, "error", status.error().code);
+  tel.end(task_span, sim_.now());
   // Cache *successes* only: recording a failed status would let a later
   // failed attempt clobber an earlier recorded success for the same key
   // and defeat skip-on-retry.
@@ -534,22 +504,11 @@ ReplayReport FlowEngine::replay() {
     db_.mark_finished(run.id, RunState::Cancelled, sim_.now(),
                       "interrupted_by_crash");
     ++report.runs_cancelled;
-    {
-      // A crash-cancelled run is a failed completion from the SLO's point
-      // of view, attributed to the orchestrator, not any facility.
-      auto& tel = telemetry::global();
-      if (tel.observing()) {
-        telemetry::MonitorEvent ev;
-        ev.t = sim_.now();
-        ev.component = "flow";
-        ev.kind = "run_done";
-        ev.target = run.flow_name;
-        ev.value = sim_.now() - run.created_at;
-        ev.ok = false;
-        ev.detail = "interrupted_by_crash";
-        tel.emit(ev);
-      }
-    }
+    // A crash-cancelled run is a failed completion from the SLO's point of
+    // view, attributed to the orchestrator, not any facility.
+    telemetry::global().emit(sim_.now(), "flow", "run_done", run.flow_name,
+                             sim_.now() - run.created_at, false,
+                             "interrupted_by_crash");
     if (flows_.find(run.flow_name) == flows_.end()) {
       // A record for a flow nobody registered (renamed flow, foreign
       // database): tolerated, never fatal.

@@ -232,7 +232,6 @@ class FlowEngine {
   // duplicates, unknown flow names, partial (started-but-unfinished) tasks
   // — are tolerated and counted, never fatal.
   void halt() ALSFLOW_EXCLUDES(mu_);
-  bool halted() const { return halted_; }
   ReplayReport replay() ALSFLOW_EXCLUDES(mu_);
 
  private:

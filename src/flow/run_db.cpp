@@ -7,18 +7,6 @@
 
 namespace alsflow::flow {
 
-const char* run_state_name(RunState s) {
-  switch (s) {
-    case RunState::Scheduled: return "SCHEDULED";
-    case RunState::Running: return "RUNNING";
-    case RunState::Retrying: return "RETRYING";
-    case RunState::Completed: return "COMPLETED";
-    case RunState::Failed: return "FAILED";
-    case RunState::Cancelled: return "CANCELLED";
-  }
-  return "?";
-}
-
 bool is_terminal(RunState s) {
   return s == RunState::Completed || s == RunState::Failed ||
          s == RunState::Cancelled;

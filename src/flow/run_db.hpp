@@ -19,7 +19,19 @@
 namespace alsflow::flow {
 
 enum class RunState { Scheduled, Running, Retrying, Completed, Failed, Cancelled };
-const char* run_state_name(RunState s);
+// Inline: a span's "state" attribute names the state on every run, and with
+// tracing off the name must cost no call.
+inline const char* run_state_name(RunState s) {
+  switch (s) {
+    case RunState::Scheduled: return "SCHEDULED";
+    case RunState::Running: return "RUNNING";
+    case RunState::Retrying: return "RETRYING";
+    case RunState::Completed: return "COMPLETED";
+    case RunState::Failed: return "FAILED";
+    case RunState::Cancelled: return "CANCELLED";
+  }
+  return "?";
+}
 bool is_terminal(RunState s);
 
 struct FlowRunRecord {

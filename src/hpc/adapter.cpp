@@ -39,6 +39,9 @@ void ComputeAdapter::record_job_telemetry(const ReconJob& job,
   // telemetry is enabled: queue_stats() must work in bare worlds too.
   // The window statistics are computed here, once per report, not per
   // snapshot: the sorted window changes by one insert and one erase.
+  auto& tel = telemetry::global();
+  const Seconds reported_at =
+      std::max(outcome.finished_at, outcome.submitted_at);
   if (outcome.started_at >= outcome.submitted_at) {
     const Seconds wait = outcome.queue_wait();
     ++stats_.completed;
@@ -61,23 +64,14 @@ void ComputeAdapter::record_job_telemetry(const ReconJob& job,
       for (Seconds x : exec_window_) sum += x;
       stats_.exec_mean = sum / double(exec_window_.size());
     }
-  }
-
-  auto& tel = telemetry::global();
-  if (tel.observing() && outcome.started_at >= outcome.submitted_at) {
     // Queue-wait health per facility: an outage holds submissions at the
     // gate, so the wait itself is the observable symptom (detection
     // happens when held jobs finally report back).
-    telemetry::MonitorEvent ev;
-    ev.t = std::max(outcome.finished_at, outcome.submitted_at);
-    ev.component = "hpc";
-    ev.kind = "queue_wait";
-    ev.target = outcome.facility;
-    ev.value = outcome.queue_wait();
-    ev.ok = outcome.status.ok();
-    ev.detail = outcome.status.ok() ? "" : outcome.status.error().code;
-    tel.emit(ev);
+    tel.emit(reported_at, "hpc", "queue_wait", outcome.facility, wait,
+             outcome.status);
   }
+  // The metric labels and the job span's name are built strings, so the
+  // rest runs only with tracing on.
   if (!tel.enabled()) return;
   const std::string fac_label = "facility=\"" + outcome.facility + "\"";
   tel.metrics().counter("alsflow_hpc_jobs_total", fac_label).add();
@@ -85,37 +79,32 @@ void ComputeAdapter::record_job_telemetry(const ReconJob& job,
     tel.metrics().counter("alsflow_hpc_job_failures_total", fac_label).add();
   }
 
-  auto& tracer = tel.tracer();
-  telemetry::SpanId span =
-      tracer.begin("hpc", outcome.facility + ":" + job.name, job.trace_parent,
-                   telemetry::ClockDomain::Sim, outcome.submitted_at);
-  tracer.attr(span, "facility", outcome.facility);
-  tracer.attr(span, "nz", std::uint64_t(job.nz));
-  tracer.attr(span, "n", std::uint64_t(job.n));
+  const telemetry::SpanId span =
+      tel.begin("hpc", outcome.facility + ":" + job.name, job.trace_parent,
+                outcome.submitted_at);
+  tel.attr(span, "facility", outcome.facility);
+  tel.attr(span, "nz", std::uint64_t(job.nz));
+  tel.attr(span, "n", std::uint64_t(job.n));
   if (!outcome.status.ok()) {
-    tracer.attr(span, "error", outcome.status.error().code);
+    tel.attr(span, "error", outcome.status.error().code);
   }
   // started_at/finished_at are only known after the fact; explicit
   // timestamps let us record the queue-wait and execution phases
   // retroactively as children of the job span.
   if (outcome.started_at >= outcome.submitted_at) {
-    telemetry::SpanId queue =
-        tracer.begin("hpc", "queue_wait", span, telemetry::ClockDomain::Sim,
-                     outcome.submitted_at);
-    tracer.end(queue, outcome.started_at);
+    tel.end(tel.begin("hpc", "queue_wait", span, outcome.submitted_at),
+            outcome.started_at);
     tel.metrics()
         .histogram("alsflow_hpc_queue_wait_seconds",
                    {10.0, 30.0, 60.0, 120.0, 300.0, 600.0, 1800.0, 3600.0},
                    fac_label)
         .observe(outcome.queue_wait());
     if (outcome.finished_at >= outcome.started_at) {
-      telemetry::SpanId exec =
-          tracer.begin("hpc", "execute", span, telemetry::ClockDomain::Sim,
-                       outcome.started_at);
-      tracer.end(exec, outcome.finished_at);
+      tel.end(tel.begin("hpc", "execute", span, outcome.started_at),
+              outcome.finished_at);
     }
   }
-  tracer.end(span, std::max(outcome.finished_at, outcome.submitted_at));
+  tel.end(span, reported_at);
 }
 
 sim::Future<ReconJobOutcome> NerscSlurmAdapter::run_impl(ReconJob job) {

@@ -80,24 +80,19 @@ void Link::on_completion_event() {
       // Deliver after propagation latency (plus any chaos recall spike in
       // effect at delivery time).
       const Seconds deliver = latency_ + extra_latency_;
-      {
+      auto& tel = telemetry::global();
+      // The ratio costs two divisions per delivery, so it is computed only
+      // with a sink installed.
+      if (tel.observing() && it->bytes > 0.5) {
         // Per-delivery slowdown: achieved time over the contention-free,
         // healthy-link time. ~n under n-way fair sharing; far above that
         // under degradation, blackout stalls, or recall spikes. Stamped
         // with the delivery time (no event is scheduled for it).
-        auto& tel = telemetry::global();
-        if (tel.observing() && it->bytes > 0.5) {
-          const double expected = it->bytes / bandwidth_ + latency_;
-          telemetry::MonitorEvent ev;
-          ev.t = eng_.now() + deliver;
-          ev.component = "net";
-          ev.kind = "delivery";
-          ev.target = name_;
-          ev.value = expected > 0.0
-                         ? (eng_.now() - it->started + deliver) / expected
-                         : 1.0;
-          tel.emit(ev);
-        }
+        const double expected = it->bytes / bandwidth_ + latency_;
+        tel.emit(eng_.now() + deliver, "net", "delivery", name_,
+                 expected > 0.0
+                     ? (eng_.now() - it->started + deliver) / expected
+                     : 1.0);
       }
       it = active_.erase(it);
       if (deliver > 0.0) {

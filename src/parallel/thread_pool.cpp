@@ -175,15 +175,16 @@ void ThreadPool::run_chunks(
   }
 
   // Wall-clock span per fan-out (one branch when telemetry is off; the
-  // per-chunk cost for workers is a relaxed counter increment).
+  // per-chunk cost for workers is a relaxed counter increment). The clock
+  // read is an argument, so it stays under the check.
   auto& tel = telemetry::global();
   telemetry::SpanId span = 0;
   if (tel.enabled()) {
-    span = tel.tracer().begin("pool", "parallel_for", 0,
-                              telemetry::ClockDomain::Wall,
-                              telemetry::Telemetry::wall_now());
-    tel.tracer().attr(span, "iterations", std::uint64_t(n));
-    tel.tracer().attr(span, "chunks", std::uint64_t(tasks.size() + 1));
+    span = tel.begin("pool", "parallel_for", 0,
+                     telemetry::Telemetry::wall_now(),
+                     telemetry::ClockDomain::Wall);
+    tel.attr(span, "iterations", std::uint64_t(n));
+    tel.attr(span, "chunks", std::uint64_t(tasks.size() + 1));
     pool_metrics().invocations.add();
   }
 
@@ -194,7 +195,7 @@ void ThreadPool::run_chunks(
   cv_work_.notify_all();
 
   body(begin, std::min(end, begin + chunk_size));
-  if (span != 0) pool_metrics().chunks.add();
+  if (tel.enabled()) pool_metrics().chunks.add();
 
   // Help-drain tasks of *this* batch only. Running another caller's chunks
   // here would couple our latency to theirs and, for nested calls, could
@@ -220,7 +221,7 @@ void ThreadPool::run_chunks(
     UniqueLock lock(batch.m);
     while (batch.remaining != 0) batch.cv.wait(lock.native());
   }
-  if (span != 0) tel.tracer().end(span, telemetry::Telemetry::wall_now());
+  if (span != 0) tel.end(span, telemetry::Telemetry::wall_now());
 }
 
 bool ThreadPool::pop_batch_task_locked(const Batch& batch, Task& out) {

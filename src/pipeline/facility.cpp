@@ -463,24 +463,20 @@ sim::Future<ScanOutcome> Facility::process_scan_impl(data::ScanMetadata scan,
   // assembler keys on (flow runs remain separate roots linked to it by
   // their scan-id parameters).
   auto& tel = telemetry::global();
-  telemetry::SpanId scan_span = 0;
-  if (tel.enabled()) {
-    scan_span = tel.tracer().begin("scan", scan.scan_id, 0,
-                                   telemetry::ClockDomain::Sim, eng_.now());
-    tel.tracer().attr(scan_span, "scan_id", scan.scan_id);
-  }
+  const telemetry::SpanId scan_span =
+      tel.begin("scan", scan.scan_id, 0, eng_.now());
+  tel.attr(scan_span, "scan_id", scan.scan_id);
 
   file_writer_.begin_scan(scan);
   if (options.streaming) streaming_.begin_scan(scan);
 
-  telemetry::SpanId acq_span = 0;
-  if (scan_span != 0) {
-    acq_span = tel.tracer().begin("scan", "acquisition", scan_span,
-                                  telemetry::ClockDomain::Sim, eng_.now());
-  }
+  // Only under a recorded scan span: no orphan root.
+  const telemetry::SpanId acq_span =
+      scan_span != 0 ? tel.begin("scan", "acquisition", scan_span, eng_.now())
+                     : 0;
   // Acquisition (frames fan out to the file-writer and streaming service).
   scan = co_await detector_.acquire(std::move(scan));
-  if (acq_span != 0) tel.tracer().end(acq_span, eng_.now());
+  tel.end(acq_span, eng_.now());
   outcome.scan = scan;
 
   // Wait for the file-writer to finish saving the HDF5 file.
@@ -515,17 +511,10 @@ sim::Future<ScanOutcome> Facility::process_scan_impl(data::ScanMetadata scan,
   }
 
   outcome.finished_at = eng_.now();
-  if (scan_span != 0) tel.tracer().end(scan_span, eng_.now());
-  if (tel.observing()) {
-    telemetry::MonitorEvent ev;
-    ev.t = eng_.now();
-    ev.component = "scan";
-    ev.kind = "e2e";
-    ev.target = scan.scan_id;
-    ev.value = outcome.finished_at - outcome.started_at;
-    ev.ok = outcome.new_file_status.ok() && outcome.recon.completed;
-    tel.emit(ev);
-  }
+  tel.end(scan_span, eng_.now());
+  tel.emit(eng_.now(), "scan", "e2e", scan.scan_id,
+           outcome.finished_at - outcome.started_at,
+           outcome.new_file_status.ok() && outcome.recon.completed);
   ++scans_completed_;
   outcomes_.push_back(outcome);
   write_done_.erase(scan.scan_id);

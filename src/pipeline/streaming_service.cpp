@@ -21,10 +21,9 @@ void StreamingService::begin_scan(const data::ScanMetadata& scan) {
   Active a;
   a.scan = scan;
   auto& tel = telemetry::global();
-  if (tel.enabled()) {
-    a.span = tel.tracer().begin("streaming", "stream:" + scan.scan_id, 0,
-                                telemetry::ClockDomain::Sim, eng_.now());
-    tel.tracer().attr(a.span, "n_angles", std::uint64_t(scan.n_angles));
+  if (tel.enabled()) {  // the span name is a built string
+    a.span = tel.begin("streaming", "stream:" + scan.scan_id, 0, eng_.now());
+    tel.attr(a.span, "n_angles", std::uint64_t(scan.n_angles));
   }
   LockGuard lock(mu_);
   active_[scan.scan_id] = std::move(a);
@@ -67,37 +66,31 @@ sim::Proc StreamingService::finalize(std::string scan_id) {
   report.last_frame_at = eng_.now();
   report.cached_bytes = a.bytes;
 
+  // The phases open only under a recorded scan span: no orphan roots.
   auto& tel = telemetry::global();
-  telemetry::SpanId recon_span = 0;
-  if (scan_span != 0) {
-    recon_span = tel.tracer().begin("streaming", "gpu_backprojection",
-                                    scan_span, telemetry::ClockDomain::Sim,
-                                    eng_.now());
-  }
+  const telemetry::SpanId recon_span =
+      scan_span != 0
+          ? tel.begin("streaming", "gpu_backprojection", scan_span, eng_.now())
+          : 0;
   // Back-project the cached, filtered dataset on the 4-GPU node.
   co_await sim::delay(
       eng_, model_.streaming_finalize_seconds(a.scan.rows, a.scan.cols));
   report.recon_done_at = eng_.now();
-  if (recon_span != 0) tel.tracer().end(recon_span, eng_.now());
+  tel.end(recon_span, eng_.now());
 
-  telemetry::SpanId return_span = 0;
-  if (scan_span != 0) {
-    return_span = tel.tracer().begin("streaming", "preview_return", scan_span,
-                                     telemetry::ClockDomain::Sim, eng_.now());
-  }
+  const telemetry::SpanId return_span =
+      scan_span != 0
+          ? tel.begin("streaming", "preview_return", scan_span, eng_.now())
+          : 0;
   // Three orthogonal float32 preview slices return via ZeroMQ.
   const Bytes preview_bytes = 3ull * a.scan.cols * a.scan.cols * 4;
   co_await zmq_back_.send(preview_bytes);
   report.preview_at = eng_.now();
-  if (return_span != 0) tel.tracer().end(return_span, eng_.now());
+  tel.end(return_span, eng_.now());
 
-  if (scan_span != 0) {
-    tel.tracer().attr(scan_span, "cached_bytes",
-                      std::uint64_t(report.cached_bytes));
-    tel.tracer().attr(scan_span, "preview_latency_s",
-                      report.preview_latency());
-    tel.tracer().end(scan_span, eng_.now());
-  }
+  tel.attr(scan_span, "cached_bytes", std::uint64_t(report.cached_bytes));
+  tel.attr(scan_span, "preview_latency_s", report.preview_latency());
+  tel.end(scan_span, eng_.now());
   if (tel.enabled()) {
     // The paper's Fig. 2 metric: acquisition completion -> preview visible.
     tel.metrics()
@@ -106,16 +99,9 @@ sim::Proc StreamingService::finalize(std::string scan_id) {
         .observe(report.preview_latency());
     tel.metrics().counter("alsflow_streaming_previews_total").add();
   }
-  if (tel.observing()) {
-    // Time-to-first-slice, the streaming paper's headline SLO.
-    telemetry::MonitorEvent ev;
-    ev.t = eng_.now();
-    ev.component = "streaming";
-    ev.kind = "first_slice";
-    ev.target = scan_id;
-    ev.value = report.preview_latency();
-    tel.emit(ev);
-  }
+  // Time-to-first-slice, the streaming paper's headline SLO.
+  tel.emit(eng_.now(), "streaming", "first_slice", scan_id,
+           report.preview_latency());
   log_info("streaming") << scan_id << ": preview in "
                         << human_duration(report.preview_latency())
                         << " after acquisition";

@@ -79,12 +79,6 @@ std::map<std::string, std::size_t> Fleet::placements() const {
   return out;
 }
 
-std::size_t Fleet::scans_completed() const {
-  std::size_t n = 0;
-  for (const auto& s : shards_) n += s->scheduler->scans_completed();
-  return n;
-}
-
 std::size_t Fleet::scans_lost() const {
   std::size_t n = 0;
   for (const auto& s : shards_) n += s->scheduler->scans_lost();

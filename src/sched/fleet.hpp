@@ -79,7 +79,6 @@ class Fleet {
 
   // --- fleet-wide campaign accounting -----------------------------------
   std::map<std::string, std::size_t> placements() const;
-  std::size_t scans_completed() const;
   std::size_t scans_lost() const;
   std::size_t failovers() const;
   std::size_t hedges_launched() const;

@@ -1,7 +1,6 @@
 #include "sched/scheduler.hpp"
 
 #include <algorithm>
-#include <coroutine>
 #include <cstdint>
 #include <iterator>
 #include <memory>
@@ -18,56 +17,6 @@ struct Racing {
   RunState_ state;
   std::size_t attempt = 0;  // index into ScanResult::attempts
   std::uint64_t token = 0;  // the race's callback on `state`
-};
-
-// Races the outstanding attempts against a timer from inside the awaiting
-// frame: resumes with the index of the first state to resolve, or -1 if
-// `window` elapses first (the runs keep going either way; the caller owns
-// `racing` and leaves it untouched until the race resolves).
-//
-// Every callback captures only this awaiter and an index, which
-// std::function stores inline, so a race allocates nothing of its own.
-// Whichever fires first detaches every other callback and the timer before
-// resuming, since resuming may destroy this awaiter; a state resolving in
-// the same cascade drops the detached callback unrun (SharedState).
-struct RaceAwaiter {
-  RaceAwaiter(sim::Engine& e, std::vector<Racing>& r, Seconds w)
-      : eng(e), racing(r), window(w) {}
-
-  sim::Engine& eng;
-  std::vector<Racing>& racing;
-  Seconds window;
-  int winner = -1;
-  sim::EventId timer = 0;
-  std::coroutine_handle<> waiter;
-
-  bool await_ready() {
-    for (std::size_t i = 0; i < racing.size(); ++i) {
-      if (racing[i].state->ready()) {
-        winner = int(i);
-        return true;
-      }
-    }
-    return false;
-  }
-  void await_suspend(std::coroutine_handle<> h) {
-    waiter = h;
-    for (std::size_t i = 0; i < racing.size(); ++i) {
-      racing[i].token =
-          racing[i].state->add_callback([this, i] { finish(int(i)); });
-    }
-    timer = eng.schedule_in(window, [this] { finish(-1); });
-  }
-  int await_resume() const { return winner; }
-
-  void finish(int w) {
-    winner = w;
-    if (w >= 0) eng.cancel(timer);
-    for (std::size_t i = 0; i < racing.size(); ++i) {
-      if (int(i) != w) racing[i].state->remove_callback(racing[i].token);
-    }
-    waiter.resume();  // may destroy this awaiter; no member access after
-  }
 };
 
 }  // namespace
@@ -169,7 +118,7 @@ sim::Future<ScanResult> FederatedScheduler::submit_impl(ScanRequest scan,
 
     // RACE the outstanding attempts against the active window.
     const Seconds window = hedge_armed ? hedge_delay : cfg_.failover_timeout;
-    const int winner = co_await RaceAwaiter{eng_, racing, window};
+    const int winner = co_await sim::RaceAwaiter{eng_, racing, window};
 
     if (winner < 0) {
       // Window expired with everything still in flight.
@@ -252,18 +201,10 @@ sim::Future<ScanResult> FederatedScheduler::submit_impl(ScanRequest scan,
     ++lost_;
   }
 
-  auto& tel = telemetry::global();
-  if (tel.observing()) {
-    telemetry::MonitorEvent ev;
-    ev.t = res.finished_at;
-    ev.component = "sched";
-    ev.kind = "turnaround";
-    ev.target = res.completed ? res.facility : "lost";
-    ev.value = res.turnaround();
-    ev.ok = res.completed;
-    ev.detail = res.reason;
-    tel.emit(ev);
-  }
+  telemetry::global().emit(
+      res.finished_at, "sched", "turnaround",
+      res.completed ? std::string_view(res.facility) : "lost",
+      res.turnaround(), res.completed, res.reason);
   co_return res;
 }
 

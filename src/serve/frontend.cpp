@@ -376,27 +376,21 @@ void Frontend::render_and_fulfill(Queued item, double dequeued_at,
     } else {
       sm.misses.add();
       // Retroactive wall-domain span for the leader render.
-      const telemetry::SpanId span = tel.tracer().begin(
-          "serve", "render", 0, telemetry::ClockDomain::Wall, t0);
-      tel.tracer().attr(span, "volume", key.volume);
-      tel.tracer().attr(span, "level", std::uint64_t(key.level));
-      tel.tracer().attr(span, "tenant", req.tenant);
-      tel.tracer().end(span, t1);
+      const telemetry::SpanId span =
+          tel.begin("serve", "render", 0, t0, telemetry::ClockDomain::Wall);
+      tel.attr(span, "volume", key.volume);
+      tel.attr(span, "level", std::uint64_t(key.level));
+      tel.attr(span, "tenant", req.tenant);
+      tel.end(span, t1);
     }
     sm.queue_wait.observe(dequeued_at - item.enqueued_at);
     sm.render.observe(t1 - t0);
   }
-  if (tel.observing()) {
-    // Per-tenant queue-wait health on the frontend's injected clock (sim
-    // time in tests, wall time in live deployments).
-    telemetry::MonitorEvent ev;
-    ev.t = dequeued_at;
-    ev.component = "serve";
-    ev.kind = "queue_wait";
-    ev.target = req.tenant.empty() ? "anonymous" : req.tenant;
-    ev.value = dequeued_at - item.enqueued_at;
-    tel.emit(ev);
-  }
+  // Per-tenant queue-wait health on the frontend's injected clock (sim time
+  // in tests, wall time in live deployments).
+  tel.emit(dequeued_at, "serve", "queue_wait",
+           req.tenant.empty() ? std::string_view("anonymous") : req.tenant,
+           dequeued_at - item.enqueued_at);
 
   if (!lookup.image.ok()) {
     {

@@ -230,66 +230,59 @@ class Event {
   std::shared_ptr<SharedState<T>> state_;
 };
 
-// Await a future with a timeout. Resumes with true if the future resolved,
-// false if the timeout fired first (the future keeps running either way).
-template <typename T>
-struct TimeoutAwaiter {
+// Races N states against a timer from inside the awaiting frame: resumes
+// with the index of the first state to resolve, or -1 if `window` elapses
+// first (the activities keep running either way). Each Slot holds a
+// `state` (a shared_ptr to a SharedState) and a `std::uint64_t token` the
+// race fills with its callback on that state; the caller owns `racing` and
+// leaves it untouched until the race resolves.
+//
+// Every callback captures only this awaiter and an index, which
+// std::function stores inline, so a race allocates nothing of its own.
+// Whichever fires first detaches every other callback and the timer before
+// resuming, since resuming may destroy this awaiter; a state resolving in
+// the same cascade drops the detached callback unrun (SharedState). On a
+// tie at one tick, whichever of the resolving event and the timer was
+// scheduled first wins.
+template <typename Slot>
+struct RaceAwaiter {
+  RaceAwaiter(Engine& e, std::vector<Slot>& r, Seconds w)
+      : eng(e), racing(r), window(w) {}
+
   Engine& eng;
-  std::shared_ptr<SharedState<T>> state;
-  Seconds timeout;
-
-  bool timed_out = false;
+  std::vector<Slot>& racing;
+  Seconds window;
+  int winner = -1;
   EventId timer = 0;
-  std::uint64_t token = 0;
+  std::coroutine_handle<> waiter;
 
-  bool await_ready() const { return state->ready(); }
-  void await_suspend(std::coroutine_handle<> h) {
-    // Order matters: the timer is armed *before* the completion callback is
-    // registered, so the completion callback always sees a valid `timer`.
-    // (The old order registered a callback capturing `timer` while it was
-    // still 0; a callback firing before the assignment — e.g. a state
-    // resolved re-entrantly from another waiter's resumption — would have
-    // cancelled event id 0 and left the real timer live to touch a dead
-    // frame.) The reverse race is safe by construction: schedule_in never
-    // runs its handler inline, so by the time the timer can fire, `token`
-    // is assigned.
-    //
-    // Each path detaches the losing callback *before* h.resume(): resuming
-    // may run the coroutine to completion and destroy this frame (awaiter
-    // included), so nothing may touch `this` — or remain registered to
-    // fire later — after that point. On a future-resolves-at-timeout-tick
-    // tie, whichever event runs first wins and unhooks the loser.
-    timer = eng.schedule_in(timeout, [this, h] {
-      state->remove_callback(token);
-      timed_out = true;
-      h.resume();  // frame may be destroyed here; no member access after
-    });
-    token = state->add_callback([this, h] {
-      eng.cancel(timer);
-      h.resume();  // frame may be destroyed here; no member access after
-    });
+  bool await_ready() {
+    for (std::size_t i = 0; i < racing.size(); ++i) {
+      if (racing[i].state->ready()) {
+        winner = int(i);
+        return true;
+      }
+    }
+    return false;
   }
-  bool await_resume() const { return !timed_out; }
+  void await_suspend(std::coroutine_handle<> h) {
+    waiter = h;
+    for (std::size_t i = 0; i < racing.size(); ++i) {
+      racing[i].token =
+          racing[i].state->add_callback([this, i] { finish(int(i)); });
+    }
+    timer = eng.schedule_in(window, [this] { finish(-1); });
+  }
+  int await_resume() const { return winner; }
+
+  void finish(int w) {
+    winner = w;
+    if (w >= 0) eng.cancel(timer);
+    for (std::size_t i = 0; i < racing.size(); ++i) {
+      if (int(i) != w) racing[i].state->remove_callback(racing[i].token);
+    }
+    waiter.resume();  // may destroy this awaiter; no member access after
+  }
 };
-
-template <typename T>
-TimeoutAwaiter<T> with_timeout(Engine& eng, const Future<T>& fut, Seconds t) {
-  return TimeoutAwaiter<T>{eng, fut.state(), t};
-}
-template <typename T>
-TimeoutAwaiter<T> with_timeout(Engine& eng, const Event<T>& ev, Seconds t) {
-  return TimeoutAwaiter<T>{eng, ev.state(), t};
-}
-inline TimeoutAwaiter<Unit> with_timeout(Engine& eng, const Proc& p, Seconds t) {
-  return TimeoutAwaiter<Unit>{eng, p.state(), t};
-}
-
-// Await completion of every proc in the list (order irrelevant).
-// (Wrapper over the coroutine impl: prvalue class-type arguments to
-// coroutines are miscompiled by GCC 12 — see flow/engine.hpp.)
-Future<Unit> join_all_impl(std::vector<Proc> procs);
-inline Future<Unit> join_all(std::vector<Proc> procs) {
-  return join_all_impl(std::move(procs));
-}
 
 }  // namespace alsflow::sim

@@ -29,12 +29,9 @@ sim::Future<TransferOutcome> TransferService::submit_impl(TransferSpec spec) {
   outcome.submitted_at = eng_.now();
 
   auto& tel = telemetry::global();
-  telemetry::SpanId span = 0;
-  if (tel.enabled()) {
-    span = tel.tracer().begin(
-        "transfer", spec.label.empty() ? "transfer" : spec.label,
-        spec.trace_parent, telemetry::ClockDomain::Sim, eng_.now());
-  }
+  const telemetry::SpanId span = tel.begin(
+      "transfer", spec.label.empty() ? std::string_view("transfer") : spec.label,
+      spec.trace_parent, eng_.now());
 
   if (spec.src == nullptr || spec.dst == nullptr) {
     outcome.status = Error::make("invalid_argument", "null endpoint");
@@ -60,17 +57,9 @@ sim::Future<TransferOutcome> TransferService::submit_impl(TransferSpec spec) {
   const std::string route_name = spec.src->name() + "->" + spec.dst->name();
   // Per-file-attempt health events: value is a 0/1 success indicator, so a
   // window's mean is the observed attempt reliability on this route.
-  auto emit_attempt = [&](bool ok, const std::string& detail) {
-    if (!tel.observing()) return;
-    telemetry::MonitorEvent ev;
-    ev.t = eng_.now();
-    ev.component = "transfer";
-    ev.kind = "file_attempt";
-    ev.target = route_name;
-    ev.value = ok ? 1.0 : 0.0;
-    ev.ok = ok;
-    ev.detail = detail;
-    tel.emit(ev);
+  auto emit_attempt = [&](bool ok, std::string_view detail) {
+    tel.emit(eng_.now(), "transfer", "file_attempt", route_name,
+             ok ? 1.0 : 0.0, ok, detail);
   };
 
   Error first_error{"", ""};
@@ -119,20 +108,11 @@ sim::Future<TransferOutcome> TransferService::submit_impl(TransferSpec spec) {
       const std::uint64_t landed_checksum = corrupted ? ~checksum : checksum;
       Status put = spec.dst->put(file.dst_path, size, landed_checksum,
                                  eng_.now());
-      if (tel.observing()) {
-        // Destination-write health, attributed to the endpoint itself
-        // (permission and capacity incidents are endpoint problems, not
-        // route problems).
-        telemetry::MonitorEvent ev;
-        ev.t = eng_.now();
-        ev.component = "transfer";
-        ev.kind = "endpoint_write";
-        ev.target = spec.dst->name();
-        ev.value = put.ok() ? 1.0 : 0.0;
-        ev.ok = put.ok();
-        ev.detail = put.ok() ? "" : put.error().code;
-        tel.emit(ev);
-      }
+      // Destination-write health, attributed to the endpoint itself
+      // (permission and capacity incidents are endpoint problems, not route
+      // problems).
+      tel.emit(eng_.now(), "transfer", "endpoint_write", spec.dst->name(),
+               put.ok() ? 1.0 : 0.0, put);
       if (!put.ok()) {
         if (first_error.code.empty()) first_error = put.error();
         emit_attempt(false, put.error().code);
@@ -193,21 +173,13 @@ sim::Future<TransferOutcome> TransferService::submit_impl(TransferSpec spec) {
     outcome.status = Error::make("stranded_corrupt_copy", stranded_path);
   }
   outcome.finished_at = eng_.now();
-  if (tel.observing()) {
-    // Whole-task goodput: payload bytes over wall (sim) duration,
-    // retries/backoff included — the figure the paper's bandwidth panels
-    // plot per route.
-    telemetry::MonitorEvent ev;
-    ev.t = eng_.now();
-    ev.component = "transfer";
-    ev.kind = "transfer_done";
-    ev.target = route_name;
-    const Seconds took = outcome.finished_at - outcome.submitted_at;
-    ev.value = took > 0.0 ? double(outcome.bytes_moved) / took : 0.0;
-    ev.ok = outcome.status.ok();
-    ev.detail = outcome.status.ok() ? "" : outcome.status.error().code;
-    tel.emit(ev);
-  }
+  // Whole-task goodput: payload bytes over wall (sim) duration,
+  // retries/backoff included — the figure the paper's bandwidth panels plot
+  // per route.
+  const Seconds took = outcome.finished_at - outcome.submitted_at;
+  tel.emit(eng_.now(), "transfer", "transfer_done", route_name,
+           took > 0.0 ? double(outcome.bytes_moved) / took : 0.0,
+           outcome.status);
   finish_telemetry(span, route_label, outcome);
   record_outcome(outcome);
   co_return outcome;
@@ -217,37 +189,31 @@ void TransferService::finish_telemetry(telemetry::SpanId span,
                                        const std::string& route_label,
                                        const TransferOutcome& outcome) {
   auto& tel = telemetry::global();
-  if (!tel.enabled() && span == 0) return;
-  if (span != 0) {
-    auto& tracer = tel.tracer();
-    tracer.attr(span, "bytes_moved", std::uint64_t(outcome.bytes_moved));
-    tracer.attr(span, "files_ok", std::uint64_t(outcome.files_ok));
-    tracer.attr(span, "files_failed", std::uint64_t(outcome.files_failed));
-    tracer.attr(span, "retries", std::uint64_t(outcome.retries));
-    if (!outcome.status.ok()) {
-      tracer.attr(span, "error", outcome.status.error().code);
-    }
-    tracer.end(span, eng_.now());
+  tel.attr(span, "bytes_moved", std::uint64_t(outcome.bytes_moved));
+  tel.attr(span, "files_ok", std::uint64_t(outcome.files_ok));
+  tel.attr(span, "files_failed", std::uint64_t(outcome.files_failed));
+  tel.attr(span, "retries", std::uint64_t(outcome.retries));
+  if (!outcome.status.ok()) {
+    tel.attr(span, "error", outcome.status.error().code);
   }
-  if (tel.enabled()) {
-    auto& m = tel.metrics();
-    m.counter("alsflow_transfer_tasks_total", route_label).add();
-    m.counter("alsflow_transfer_bytes_total", route_label)
-        .add(outcome.bytes_moved);
-    m.counter("alsflow_transfer_files_total", route_label)
-        .add(outcome.files_ok);
-    if (outcome.retries > 0) {
-      m.counter("alsflow_transfer_retries_total", route_label)
-          .add(std::uint64_t(outcome.retries));
-    }
-    if (outcome.files_failed > 0) {
-      m.counter("alsflow_transfer_failures_total", route_label)
-          .add(outcome.files_failed);
-    }
-    if (outcome.files_stranded > 0) {
-      m.counter("alsflow_transfer_stranded_total", route_label)
-          .add(outcome.files_stranded);
-    }
+  tel.end(span, eng_.now());
+  if (!tel.enabled()) return;
+  auto& m = tel.metrics();
+  m.counter("alsflow_transfer_tasks_total", route_label).add();
+  m.counter("alsflow_transfer_bytes_total", route_label)
+      .add(outcome.bytes_moved);
+  m.counter("alsflow_transfer_files_total", route_label).add(outcome.files_ok);
+  if (outcome.retries > 0) {
+    m.counter("alsflow_transfer_retries_total", route_label)
+        .add(std::uint64_t(outcome.retries));
+  }
+  if (outcome.files_failed > 0) {
+    m.counter("alsflow_transfer_failures_total", route_label)
+        .add(outcome.files_failed);
+  }
+  if (outcome.files_stranded > 0) {
+    m.counter("alsflow_transfer_stranded_total", route_label)
+        .add(outcome.files_stranded);
   }
 }
 

@@ -14,12 +14,14 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <map>
 #include <string>
 #include <utility>
 #include <vector>
 
 #include "chaos/chaos_engine.hpp"
 #include "chaos/scenario.hpp"
+#include "common/checksum.hpp"
 #include "common/telemetry.hpp"
 #include "monitor/flight_recorder.hpp"
 #include "monitor/health_monitor.hpp"
@@ -729,12 +731,58 @@ TEST(MonitorSystem, CampaignAssemblesPerScanTraces) {
   EXPECT_EQ(asm_.scan("scan-000")->scan_id, "scan-000");
 }
 
+// Sits in front of the HealthMonitor: renders every event, all seven
+// fields, then hands it on.
+class EventTap final : public telemetry::EventSink {
+ public:
+  explicit EventTap(telemetry::EventSink& next) : next_(next) {}
+
+  void on_event(const telemetry::MonitorEvent& ev) override {
+    char buf[96];
+    std::snprintf(buf, sizeof buf, "E|%.17g|", ev.t);
+    rendered += buf;
+    rendered += ev.component + "|" + ev.kind + "|" + ev.target;
+    std::snprintf(buf, sizeof buf, "|%.17g|%d|", ev.value, int(ev.ok));
+    rendered += buf;
+    rendered += ev.detail + "\n";
+    next_.on_event(ev);
+  }
+
+  std::string rendered;
+
+ private:
+  telemetry::EventSink& next_;
+};
+
+// The Chrome trace of `spans` with span ids renumbered from 1 in begin
+// order, as a fresh process would write it: the global tracer's ids keep
+// counting across clear(), so raw ids depend on what ran before.
+std::string chrome_trace_from_one(
+    const std::vector<telemetry::SpanRecord>& spans) {
+  telemetry::Tracer fresh;
+  std::map<telemetry::SpanId, telemetry::SpanId> renumbered{{0, 0}};
+  for (const telemetry::SpanRecord& s : spans) {
+    const telemetry::SpanId id = fresh.begin(
+        s.component, s.name, renumbered.at(s.parent), s.domain, s.start);
+    renumbered[s.id] = id;
+    for (const auto& [key, value] : s.attrs) fresh.attr(id, key, value);
+    if (s.end >= 0.0) fresh.end(id, s.end);
+  }
+  return fresh.chrome_trace_json();
+}
+
+// Everything a seeded, monitored chaos campaign records — alerts, SLO
+// summary, scan traces, health scores, every monitor event and the Chrome
+// trace — is the same on every run, and the same as when the digest below
+// was taken: a change to any emit or span site shows here.
 TEST(MonitorSystem, MonitoredChaosCampaignIsByteDeterministic) {
   auto run_once = [] {
     auto& tel = telemetry::global();
     tel.clear();
     tel.set_enabled(true);
     MonitorRig rig(1234);
+    EventTap tap(rig.mon);
+    tel.set_event_sink(&tap);
     Scenario s;
     s.name = "determinism_probe";
     s.events = {{FaultKind::TransientBurst, 30.0, 300.0, "", 0.25},
@@ -752,6 +800,9 @@ TEST(MonitorSystem, MonitoredChaosCampaignIsByteDeterministic) {
       std::snprintf(buf, sizeof buf, "H|%s|%.9g\n", target.c_str(), score);
       out += buf;
     }
+    tel.set_event_sink(nullptr);
+    out += tap.rendered;
+    out += chrome_trace_from_one(tel.tracer().spans());
     tel.set_enabled(false);
     tel.clear();
     return out;
@@ -760,6 +811,7 @@ TEST(MonitorSystem, MonitoredChaosCampaignIsByteDeterministic) {
   const std::string b = run_once();
   EXPECT_EQ(a, b);
   EXPECT_FALSE(a.empty());
+  EXPECT_EQ(fnv1a64(a), 0xa6bb0ba2c7274613ull) << "digest 0x" << std::hex << fnv1a64(a);
   // The probe scenario really alerted (and the digest recorded it).
   EXPECT_NE(a.find("link_delivery_slowdown"), std::string::npos);
 }

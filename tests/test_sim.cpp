@@ -319,9 +319,18 @@ TEST(Coro, EventTrigger) {
   EXPECT_TRUE(ev.triggered());
 }
 
-Proc timeout_waiter(Engine& eng, Future<int> fut, Seconds timeout,
-                    bool& completed, double& at) {
-  completed = co_await with_timeout(eng, fut, timeout);
+// One entrant of a RaceAwaiter: the raced state and the race's token.
+struct Entrant {
+  std::shared_ptr<SharedState<int>> state;
+  std::uint64_t token = 0;
+};
+
+// Races one state against a timeout, the way the scheduler races its
+// attempts against a failover window.
+Proc timeout_waiter(Engine& eng, std::shared_ptr<SharedState<int>> state,
+                    Seconds timeout, bool& completed, double& at) {
+  std::vector<Entrant> racing{{std::move(state)}};
+  completed = (co_await RaceAwaiter{eng, racing, timeout}) == 0;
   at = eng.now();
 }
 
@@ -396,7 +405,7 @@ TEST(Coro, TimeoutFiresWhenFutureSlow) {
   bool completed = true;
   double at = -1.0;
   auto fut = answer(eng);  // resolves at t=2
-  timeout_waiter(eng, fut, 1.0, completed, at).detach();
+  timeout_waiter(eng, fut.state(), 1.0, completed, at).detach();
   eng.run();
   EXPECT_FALSE(completed);
   EXPECT_DOUBLE_EQ(at, 1.0);
@@ -407,7 +416,7 @@ TEST(Coro, TimeoutNotFiredWhenFutureFast) {
   bool completed = false;
   double at = -1.0;
   auto fut = answer(eng);  // resolves at t=2
-  timeout_waiter(eng, fut, 5.0, completed, at).detach();
+  timeout_waiter(eng, fut.state(), 5.0, completed, at).detach();
   eng.run();
   EXPECT_TRUE(completed);
   EXPECT_DOUBLE_EQ(at, 2.0);
@@ -415,20 +424,11 @@ TEST(Coro, TimeoutNotFiredWhenFutureFast) {
   EXPECT_EQ(eng.pending_events(), 0u);
 }
 
-Proc event_timeout_waiter(Engine& eng, Event<int> ev, Seconds timeout,
-                          bool& completed, double& at) {
-  completed = co_await with_timeout(eng, ev, timeout);
-  at = eng.now();
-}
-
-// Regression tests for the future-resolves-at-the-timeout-tick tie. The
-// old await_suspend registered the completion callback *before* arming the
-// timer, so a completion firing in between cancelled event id 0 and left
-// the timer to resume a frame the completion had already resumed (and
-// destroyed). The fix arms the timer first and detaches the losing path
-// before resuming; whichever event was scheduled first wins the tick, and
-// the loser never touches the frame. Both orders must be crash-free and
-// deterministic (the ASan/TSan CI legs check the lifetime claim).
+// The state-resolves-at-the-timeout-tick tie. Whichever event was scheduled
+// first wins the tick and detaches the loser before resuming the waiter, so
+// the loser never touches the frame the winner may have destroyed. Both
+// orders must be crash-free and deterministic (the ASan/TSan CI legs check
+// the lifetime claim).
 TEST(Coro, TimeoutTieCompletionScheduledFirstWins) {
   Engine eng;
   bool completed = false;
@@ -437,7 +437,7 @@ TEST(Coro, TimeoutTieCompletionScheduledFirstWins) {
   // The producer's event enters the queue before the waiter arms its
   // timer for the same tick, so the completion runs first.
   eng.schedule_at(3.0, [ev]() mutable { ev.trigger(9); });
-  event_timeout_waiter(eng, ev, 3.0, completed, at).detach();
+  timeout_waiter(eng, ev.state(), 3.0, completed, at).detach();
   eng.run();
   EXPECT_TRUE(completed);
   EXPECT_DOUBLE_EQ(at, 3.0);
@@ -453,7 +453,7 @@ TEST(Coro, TimeoutTieTimerArmedFirstWins) {
   // trigger for the same tick. The timer wins, the frame is resumed (and
   // destroyed) on the timeout path, and the late trigger must find no
   // listener left to poke.
-  event_timeout_waiter(eng, ev, 3.0, completed, at).detach();
+  timeout_waiter(eng, ev.state(), 3.0, completed, at).detach();
   eng.schedule_at(3.0, [ev]() mutable { ev.trigger(9); });
   eng.run();
   EXPECT_FALSE(completed);
@@ -546,25 +546,6 @@ TEST(Queue, TryPop) {
   ASSERT_TRUE(v.has_value());
   EXPECT_EQ(*v, 9);
   EXPECT_TRUE(q.empty());
-}
-
-Proc joiner(std::vector<Proc> procs, double& at, Engine& eng) {
-  co_await join_all(std::move(procs));
-  at = eng.now();
-}
-
-Proc sleeper(Engine& eng, Seconds t) { co_await delay(eng, t); }
-
-TEST(Coro, JoinAllWaitsForSlowest) {
-  Engine eng;
-  std::vector<Proc> procs;
-  procs.push_back(sleeper(eng, 3.0));
-  procs.push_back(sleeper(eng, 9.0));
-  procs.push_back(sleeper(eng, 1.0));
-  double at = -1.0;
-  joiner(std::move(procs), at, eng).detach();
-  eng.run();
-  EXPECT_DOUBLE_EQ(at, 9.0);
 }
 
 }  // namespace

@@ -8,6 +8,7 @@
 #include <cstdlib>
 #include <vector>
 
+#include "common/hot_guard.hpp"
 #include "common/log.hpp"
 #include "common/telemetry.hpp"
 #include "flow/engine.hpp"
@@ -384,6 +385,49 @@ TEST_F(TelemetryTest, DisabledSinkRecordsNothing) {
   EXPECT_EQ(m.counter("alsflow_pool_invocations_total").value(), 0u);
   EXPECT_EQ(m.counter("alsflow_pool_chunks_total").value(), 0u);
   EXPECT_EQ(flows.task_span(fut.value().run_id), 0u);
+}
+
+class RecordingSink final : public EventSink {
+ public:
+  void on_event(const MonitorEvent& ev) override { events.push_back(ev); }
+  std::vector<MonitorEvent> events;
+};
+
+// With tracing off and no sink, every instrumentation form is one check
+// that allocates nothing, even with arguments too long for the small-string
+// buffer; the Status form turns a failure into ok == false with its error
+// code as the detail.
+TEST(Telemetry, HelpersCostNothingWhenOff) {
+  Telemetry tel;  // tracing off, no sink
+  // 40 characters, past the small-string buffer: any copy would allocate.
+  const char* const target = "als-data->nersc-cfs:raw_to_cfs:scan-0001";
+  ASSERT_EQ(std::string(target).size(), 40u);
+  const Status failed = Error::make("permission_denied", "read-only mount");
+  const std::uint64_t before = hotguard::allocations();
+  for (int i = 0; i < 1000; ++i) {
+    tel.emit(double(i), "transfer", "file_attempt", target, 0.0, false,
+             target);
+    tel.emit(double(i), "transfer", "endpoint_write", target, 0.0, failed);
+    const SpanId span = tel.begin("transfer", target, 0, double(i));
+    tel.attr(span, "route", target);
+    tel.attr(span, "bytes_moved", std::uint64_t(i));
+    tel.attr(span, "latency_s", 0.5);
+    tel.end(span, double(i));
+  }
+  EXPECT_EQ(hotguard::allocations(), before);
+  EXPECT_EQ(tel.tracer().span_count(), 0u);
+
+  RecordingSink sink;
+  tel.set_event_sink(&sink);
+  tel.emit(1.0, "transfer", "endpoint_write", target, 0.0, failed);
+  tel.emit(2.0, "transfer", "endpoint_write", target, 1.0, Status::success());
+  tel.set_event_sink(nullptr);
+  ASSERT_EQ(sink.events.size(), 2u);
+  EXPECT_FALSE(sink.events[0].ok);
+  EXPECT_EQ(sink.events[0].detail, "permission_denied");
+  EXPECT_EQ(sink.events[0].target, target);
+  EXPECT_TRUE(sink.events[1].ok);
+  EXPECT_EQ(sink.events[1].detail, "");
 }
 
 TEST_F(TelemetryTest, RegistryClearKeepsReferencesValid) {

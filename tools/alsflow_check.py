@@ -2150,7 +2150,7 @@ def run_hot(prog):
 #                   default_slos selector table matches a MonitorEvent emit
 #                   site and vice versa, and every span component the
 #                   ScanTraceAssembler stage map tests is produced by some
-#                   tracer begin() site: nothing ties these string literals
+#                   begin() site: nothing ties these string literals
 #                   together at compile time
 #   vector-value-capture
 #                   no parallel_for / parallel_for_chunks lambda captures a
@@ -2205,15 +2205,18 @@ PATTERNS = {
 }
 
 # --- event-vocab: observability name drift ---------------------------------
-# Emitters name their MonitorEvent (component, kind) with string literals;
-# default_slos (monitor/slo.cpp) selects on the same literals, and the
-# ScanTraceAssembler stage map (monitor/trace_assembler.cpp) switches on
-# span component literals produced at tracer begin() sites. This pass
+# Emitters name their MonitorEvent (component, kind) with string literals,
+# as the second and third arguments of one Telemetry::emit(t, component,
+# kind, ...) call; default_slos (monitor/slo.cpp) selects on the same
+# literals, and the ScanTraceAssembler stage map (monitor/trace_assembler.cpp)
+# switches on span component literals produced at begin() sites. This pass
 # extracts each side and diffs them, anchoring findings on the stale line.
 
 EVENT_COMPONENT_ASSIGN = re.compile(
     r'(?<![\w.])(\w+)\.component\s*=\s*"([\w.]+)"')
 EVENT_KIND_ASSIGN = re.compile(r'(?<![\w.])(\w+)\.kind\s*=\s*"([\w.]+)"')
+EMIT_CALL = re.compile(r'(?<![\w])emit\s*\(')
+STRING_ARG = re.compile(r'\s*"([\w.]+)"\s*')
 SPAN_BEGIN = re.compile(r'\.begin\(\s*"([\w.]+)"')
 STAGE_COMPONENT_CMP = re.compile(r'component\s*==\s*"([\w.]+)"')
 
@@ -2225,9 +2228,9 @@ def collect_event_pairs(code_lines):
     """(component, kind, line_no) from paired literal assignments.
 
     A pair is a `v.component = "..."` assignment followed within a few
-    lines by `v.kind = "..."` on the same variable — the shape every emit
-    site and every default_slos selector uses. Non-literal assignments
-    (e.g. `entry.kind = ev.kind`) never match.
+    lines by `v.kind = "..."` on the same variable — the shape every
+    default_slos selector uses, and an event filled field by field.
+    Non-literal assignments (e.g. `entry.kind = ev.kind`) never match.
     """
     pairs = []
     pending = {}  # var -> (component, line_no)
@@ -2241,6 +2244,48 @@ def collect_event_pairs(code_lines):
     return pairs
 
 
+def call_args(code, open_paren):
+    """[(text, offset)] of the top-level arguments of the call whose "("
+    is code[open_paren], or None if it never closes. Commas nest inside
+    (), [], {} and literals; template argument lists are not tracked."""
+    args, depth, start, i = [], 0, open_paren + 1, open_paren + 1
+    while i < len(code):
+        c = code[i]
+        if c in "\"'":
+            i += 1
+            while i < len(code) and code[i] != c:
+                i += 2 if code[i] == "\\" else 1
+        elif c in "([{":
+            depth += 1
+        elif c in ")]}":
+            if depth == 0:
+                args.append((code[start:i], start))
+                return args
+            depth -= 1
+        elif c == "," and depth == 0:
+            args.append((code[start:i], start))
+            start = i + 1
+        i += 1
+    return None
+
+
+def collect_emit_pairs(code):
+    """(component, kind, line_no) from emit(t, "component", "kind", ...)
+    calls, which may span lines; line_no is the kind literal's line. Calls
+    whose second or third argument is not a plain literal never match."""
+    pairs = []
+    for m in EMIT_CALL.finditer(code):
+        args = call_args(code, m.end() - 1)
+        if args is None or len(args) < 3:
+            continue
+        comp, kind = (STRING_ARG.fullmatch(text) for text, _ in args[1:3])
+        if comp and kind:
+            kind_at = args[2][1] + kind.start(1)
+            pairs.append((comp.group(1), kind.group(1),
+                          code.count("\n", 0, kind_at) + 1))
+    return pairs
+
+
 def check_event_vocab(srcs, findings):
     emits, selectors, stage_refs = [], [], []
     span_components = set()
@@ -2249,6 +2294,8 @@ def check_event_vocab(srcs, findings):
         for comp, kind, ln in collect_event_pairs(lines):
             entry = (comp, kind, src.path, ln)
             (selectors if src.path == SLO_TABLE_FILE else emits).append(entry)
+        for comp, kind, ln in collect_emit_pairs(src.code):
+            emits.append((comp, kind, src.path, ln))
         for m in SPAN_BEGIN.finditer(src.code):
             span_components.add(m.group(1))
         if src.path == STAGE_MAP_FILE:
@@ -2279,7 +2326,7 @@ def check_event_vocab(srcs, findings):
                 findings.append(Finding(
                     path, ln, "event-vocab",
                     f'stage map tests span component "{comp}" that no '
-                    "tracer begin() site produces"))
+                    "begin() site produces"))
 
 
 # --- vector-value-capture: per-chunk buffer copies ------------------------
@@ -3006,7 +3053,11 @@ LINT_GOOD = [
 
 # Synthetic trees for the lint pack's tree passes, checked by the corpus
 # harness. The bad vocab tree has one stale entry on each side (dead
-# selector, unselected emit, ghost stage component). The bad capture tree
+# selector, unselected emit, ghost stage component). The one-call vocab
+# tree names its pairs only through emit(t, "component", "kind", ...)
+# calls, one split across lines and one whose first argument holds a
+# comma, and has a stale kind; the stage tree produces its component only
+# through tel.begin(...) and flags just its ghost. The bad capture tree
 # captures a vector by value at a parallel_for site (a parameter) and one
 # declared as a local (multi-line intro), and pins the waiver contract: a
 # waiver naming another rule, a reasonless one and one naming an unknown
@@ -3037,6 +3088,35 @@ LINT_TREES = [
      "src/monitor/trace_assembler.cpp":
         'if (span.component == "hpc") return "recon";\n',
      "src/hpc/adapter.cpp": 'auto s = tracer.begin("hpc", "execute", 0);\n'},
+    {"src/net/link.cpp":
+        'void f() { tel.emit(t, "net", "delivery", name_, 1.0); }\n'
+        'void g() {\n'
+        '  tel.emit(now + deliver,\n'
+        '           "net",\n'
+        '           "retired",  // check:expect event-vocab\n'
+        '           name_, 1.0);\n'
+        '}\n',
+     "src/hpc/adapter.cpp":
+        'void h() {\n'
+        '  tel.emit(std::max(done, submitted), "hpc", "queue_wait", fac,\n'
+        '           wait, status);\n'
+        '}\n',
+     "src/monitor/slo.cpp":
+        's.component = "net";\ns.kind = "delivery";\n'
+        's.component = "hpc";\ns.kind = "queue_wait";\n'},
+    {"src/pipeline/streaming_service.cpp":
+        'void f() {\n'
+        '  a.span = tel.begin("streaming", "stream:" + id, 0, now);\n'
+        '  const SpanId r = tel.begin(\n'
+        '      "streaming", "preview_return", a.span, now);\n'
+        '  tel.emit(now, "streaming", "first_slice", id, latency);\n'
+        '}\n',
+     "src/monitor/slo.cpp":
+        's.component = "streaming";\ns.kind = "first_slice";\n',
+     "src/monitor/trace_assembler.cpp":
+        'if (span.component == "streaming") return "preview";\n'
+        'if (span.component == "ghost") return "recon";'
+        '  // check:expect event-vocab\n'},
     {"src/tomo/kernel.cpp":
         '#include <vector>\n'
         'void f(std::vector<float> weights, std::size_t n) {\n'
