@@ -16,11 +16,9 @@
 #include "common/hot_guard.hpp"
 #include "common/units.hpp"
 #include "flow/engine.hpp"
-#include "flow/run_db.hpp"
 #include "hpc/cloud.hpp"
 #include "sched/campaign.hpp"
 #include "sched/directory.hpp"
-#include "sched/policy.hpp"
 #include "sched/scheduler.hpp"
 #include "sim/engine.hpp"
 #include "sim/task.hpp"
@@ -39,10 +37,10 @@ inline sim::Future<Status> finish_after(sim::Engine* eng, Seconds dt) {
 class SchedulerRaceRig {
  public:
   explicit SchedulerRaceRig(const std::string& policy_name)
-      : flows_(eng_, db_), policy_(sched::require_policy(policy_name)) {
+      : shard_(eng_, dir_, policy_name) {
     // Wide enough that no run waits for a pool slot: about 2,000 flows
     // are in flight at once under static_dual.
-    flows_.set_pool_limit("default", 4096);
+    shard_.flows.set_pool_limit("default", 4096);
     for (const char* site : {"nersc", "alcf"}) {
       adapters_.push_back(
           std::make_unique<hpc::CloudBurstAdapter>(eng_, hpc::ComputeModel{}));
@@ -52,12 +50,10 @@ class SchedulerRaceRig {
       info.adapter = adapters_.back().get();
       dir_.add(info);
       sim::Engine* eng = &eng_;
-      flows_.register_flow(info.flow_name, [eng](flow::FlowContext) {
+      shard_.flows.register_flow(info.flow_name, [eng](flow::FlowContext) {
         return finish_after(eng, 1000.0);
       });
     }
-    scheduler_ = std::make_unique<sched::FederatedScheduler>(
-        eng_, flows_, dir_, *policy_);
   }
 
   // Submits `scans` scans one second apart, runs to quiescence and
@@ -73,23 +69,22 @@ class SchedulerRaceRig {
         scan.recon_bytes = Bytes(1) << 30;
         scan.nz = 512;
         scan.n = 1024;
-        results_.push_back(scheduler_->submit(std::move(scan)).state());
+        results_.push_back(shard_.scheduler.submit(std::move(scan)).state());
       });
     }
     eng_.run();
     return double(hotguard::allocations() - before) / double(scans);
   }
 
-  std::size_t completed() const { return scheduler_->scans_completed(); }
+  std::size_t completed() const {
+    return shard_.scheduler.scans_completed();
+  }
 
  private:
   sim::Engine eng_;
-  flow::RunDatabase db_;
-  flow::FlowEngine flows_;
   std::vector<std::unique_ptr<hpc::CloudBurstAdapter>> adapters_;
   sched::FacilityDirectory dir_;
-  std::unique_ptr<sched::PlacementPolicy> policy_;
-  std::unique_ptr<sched::FederatedScheduler> scheduler_;
+  sched::Shard shard_;
   std::vector<std::shared_ptr<sim::SharedState<sched::ScanResult>>> results_;
 };
 

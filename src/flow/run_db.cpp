@@ -143,18 +143,14 @@ std::vector<TaskRunRecord> RunDatabase::tasks(
 
 namespace {
 
-// Durations of the last `last_n` (finished_at, duration) samples.
-std::vector<double> last_durations(
-    const std::vector<std::pair<Seconds, double>>& samples,
-    std::size_t last_n) {
-  const std::size_t start =
-      samples.size() > last_n ? samples.size() - last_n : 0;
-  std::vector<double> out;
-  out.reserve(samples.size() - start);
-  for (std::size_t i = start; i < samples.size(); ++i) {
-    out.push_back(samples[i].second);
+// The last `last_n` of `durations`.
+std::vector<double> last_durations(std::vector<double> durations,
+                                   std::size_t last_n) {
+  if (durations.size() > last_n) {
+    durations.erase(durations.begin(),
+                    durations.end() - std::ptrdiff_t(last_n));
   }
-  return out;
+  return durations;
 }
 
 // Exact order statistics: the raw samples are at hand, so there is no
@@ -185,10 +181,10 @@ RunDatabase::TaskQuantiles RunDatabase::task_duration_quantiles(
       last_durations(completed_task_durations(flow_name, task_name), last_n));
 }
 
-std::vector<std::pair<Seconds, double>> RunDatabase::completed_task_durations(
+std::vector<double> RunDatabase::completed_task_durations(
     const std::string& flow_name, const std::string& task_name) const {
   LockGuard lock(mu_);
-  std::vector<std::pair<Seconds, double>> out;
+  std::vector<double> out;
   for (const auto& t : task_runs_) {
     if (t.task_name != task_name) continue;
     if (t.state != RunState::Completed) continue;
@@ -197,7 +193,7 @@ std::vector<std::pair<Seconds, double>> RunDatabase::completed_task_durations(
       auto it = runs_.find(t.flow_run_id);
       if (it == runs_.end() || it->second.flow_name != flow_name) continue;
     }
-    out.emplace_back(t.finished_at, t.finished_at - t.started_at);
+    out.push_back(t.finished_at - t.started_at);
   }
   return out;
 }
@@ -216,51 +212,6 @@ std::vector<std::string> RunDatabase::task_names(
     }
   }
   return out;
-}
-
-Summary merged_duration_summary(const std::vector<const RunDatabase*>& dbs,
-                                const std::string& flow_name,
-                                std::size_t last_n, RunState state) {
-  // Gather matching runs shard by shard (each shard locks itself), then
-  // order globally by completion time with deterministic tie-breaks.
-  std::vector<FlowRunRecord> matching;
-  for (const RunDatabase* db : dbs) {
-    if (db == nullptr) continue;
-    for (auto& rec : db->runs_in_state(flow_name, state)) {
-      matching.push_back(std::move(rec));
-    }
-  }
-  std::sort(matching.begin(), matching.end(),
-            [](const FlowRunRecord& a, const FlowRunRecord& b) {
-              if (a.finished_at != b.finished_at) {
-                return a.finished_at < b.finished_at;
-              }
-              if (a.created_at != b.created_at) {
-                return a.created_at < b.created_at;
-              }
-              return a.id < b.id;
-            });
-  std::vector<double> durations;
-  const std::size_t start =
-      matching.size() > last_n ? matching.size() - last_n : 0;
-  for (std::size_t i = start; i < matching.size(); ++i) {
-    durations.push_back(matching[i].duration());
-  }
-  return summarize(std::move(durations));
-}
-
-RunDatabase::TaskQuantiles merged_task_duration_quantiles(
-    const std::vector<const RunDatabase*>& dbs, const std::string& flow_name,
-    const std::string& task_name, std::size_t last_n) {
-  std::vector<std::pair<Seconds, double>> samples;
-  for (const RunDatabase* db : dbs) {
-    if (db == nullptr) continue;
-    for (auto& s : db->completed_task_durations(flow_name, task_name)) {
-      samples.push_back(s);
-    }
-  }
-  std::sort(samples.begin(), samples.end());
-  return exact_quantiles(last_durations(samples, last_n));
 }
 
 }  // namespace alsflow::flow

@@ -9,7 +9,6 @@
 
 #include <map>
 #include <string>
-#include <utility>
 #include <vector>
 
 #include "common/stats.hpp"
@@ -146,19 +145,17 @@ class RunDatabase {
   // per-task report tables).
   std::vector<std::string> task_names(const std::string& flow_name) const;
 
-  // (finished_at, duration) of every completed record of `task_name`
-  // within `flow_name` (empty matches any flow), in insertion order. The
-  // building block the merged (sharded) Table-2 queries sort across
-  // databases; single-DB callers keep using task_duration_summary.
-  std::vector<std::pair<Seconds, double>> completed_task_durations(
-      const std::string& flow_name, const std::string& task_name) const;
-
   std::size_t total_runs() const {
     LockGuard lock(mu_);
     return order_.size();
   }
 
  private:
+  // Durations of every completed record of `task_name` within `flow_name`
+  // (empty matches any flow), in insertion order.
+  std::vector<double> completed_task_durations(
+      const std::string& flow_name, const std::string& task_name) const;
+
   // Calls fn on every run of `flow_name` ("" = every flow), in creation
   // order, reading the records in place.
   template <typename Fn>
@@ -182,28 +179,5 @@ class RunDatabase {
   std::vector<TaskRunRecord> task_runs_ ALSFLOW_GUARDED_BY(mu_);
   std::uint64_t next_id_ ALSFLOW_GUARDED_BY(mu_) = 1;
 };
-
-// ---------------------------------------------------------------------------
-// Sharded (merged) Table-2 query path
-// ---------------------------------------------------------------------------
-//
-// A fleet runs one RunDatabase per beamline shard; these free functions
-// answer the same questions duration_summary / task_duration_quantiles
-// answer on a single database, but across a shard set — gathering the
-// matching records from every shard, ordering them by completion time
-// globally (tie-broken by creation time, then run id, so the merge is
-// deterministic regardless of shard enumeration order), and aggregating
-// the most recent `last_n` exactly as the single-DB query would. Each
-// shard is locked in turn, never two at once (one lock rank covers all
-// run databases).
-
-Summary merged_duration_summary(const std::vector<const RunDatabase*>& dbs,
-                                const std::string& flow_name,
-                                std::size_t last_n,
-                                RunState state = RunState::Completed);
-
-RunDatabase::TaskQuantiles merged_task_duration_quantiles(
-    const std::vector<const RunDatabase*>& dbs, const std::string& flow_name,
-    const std::string& task_name, std::size_t last_n = 100);
 
 }  // namespace alsflow::flow

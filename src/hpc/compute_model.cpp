@@ -21,7 +21,6 @@ Seconds ComputeModel::recon_seconds(Device device, tomo::Algorithm algo,
       factor = 1.4;  // direct back-projection costs more per voxel
       break;
     case tomo::Algorithm::SIRT:
-    case tomo::Algorithm::MLEM:
       factor = iterative_iteration_factor * double(n_iterations);
       break;
   }

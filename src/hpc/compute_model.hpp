@@ -35,8 +35,8 @@ struct ComputeModel {
   // Polaris nodes run the file-based pass somewhat faster than the
   // Perlmutter CPU node (Table 2: ALCF flow ~1150 s vs NERSC ~1500 s).
   double alcf_speedup = 1.25;
-  // Iterative methods: cost of one SIRT/MLEM iteration relative to one
-  // full FBP pass over the same volume.
+  // Iterative methods: cost of one SIRT iteration relative to one full
+  // FBP pass over the same volume.
   double iterative_iteration_factor = 2.0;
 
   // Modeled wall-clock to reconstruct an (nz x n x n) volume.

@@ -26,15 +26,13 @@ Facility::Facility(FacilityConfig config)
       zmq_back_(eng_, "zmq-return", gbps(10.0), 0.03),
       globus_(eng_, config.seed ^ 0x5eed),
       sites_(eng_, "nersc_recon_flow", "alcf_recon_flow", "cloud_recon_flow"),
-      flows_(eng_, db_),
+      shard_(eng_, sites_.directory(), config.policy),
       detector_(eng_, beamline::Detector::Config{}, config.seed ^ 0xde7),
       mirror_(eng_, detector_.ioc_channel(), "pva-mirror"),
       file_writer_(eng_, mirror_.channel(), acq_server_),
       streaming_(eng_, mirror_.channel(), sites_.esnet_nersc(), zmq_back_,
                  hpc::ComputeModel{}),
-      cloud_s3_("cloud-s3", storage::Tier::Eagle, 2000 * TiB),
-      policy_(sched::require_policy(config.policy)),
-      scheduler_(eng_, flows_, sites_.directory(), *policy_) {
+      cloud_s3_("cloud-s3", storage::Tier::Eagle, 2000 * TiB) {
   // Globus routes between every endpoint pair in use.
   globus_.add_route("als-acq", "als-data", &lan_);
   globus_.add_route("als-data", "nersc-cfs", &sites_.esnet_nersc());
@@ -49,10 +47,10 @@ Facility::Facility(FacilityConfig config)
   // (but at least the steady-state number of in-flight reconstructions).
   // Each facility gets its own submission pool so a backlog at one site
   // cannot stall the other.
-  flows_.set_pool_limit("default", 16);
-  flows_.set_pool_limit("hpc-nersc", 8);
-  flows_.set_pool_limit("hpc-alcf", 8);
-  flows_.set_pool_limit("hpc-cloud", 8);
+  shard_.flows.set_pool_limit("default", 16);
+  shard_.flows.set_pool_limit("hpc-nersc", 8);
+  shard_.flows.set_pool_limit("hpc-alcf", 8);
+  shard_.flows.set_pool_limit("hpc-cloud", 8);
 
   file_writer_.on_complete(
       [this](const data::ScanMetadata& scan, const std::string& path) {
@@ -85,7 +83,7 @@ Facility::Facility(FacilityConfig config)
   // first scan. A malformed graph is a programming error, caught here in
   // milliseconds rather than mid-shift (ISSUE: beam time is too scarce to
   // discover a bad flow at run time).
-  const auto issues = flows_.validate();
+  const auto issues = shard_.flows.validate();
   for (const auto& iss : issues) {
     log_error("facility") << "flow validation: " << iss.render();
   }
@@ -104,7 +102,7 @@ void Facility::register_flows() {
       task_spec("new_file_832", "scicat_ingest", {"copy_to_data_server"},
                 false, false),
   };
-  flows_.register_flow(
+  shard_.flows.register_flow(
       "new_file_832",
       [this](flow::FlowContext ctx) { return new_file_832(ctx); }, staging,
       staging_spec);
@@ -128,7 +126,7 @@ void Facility::register_flows() {
         task_spec(route->flow_name, "scicat_derived",
                   {"globus_back_to_beamline"}, false, false),
     };
-    flows_.register_flow(
+    shard_.flows.register_flow(
         route->flow_name,
         [this, route](flow::FlowContext ctx) {
           return recon_route_flow(ctx, route);
@@ -144,7 +142,7 @@ void Facility::register_flows() {
   archive_spec.tasks = {
       task_spec("hpss_archive_flow", "archive_to_tape", {}, true, true),
   };
-  flows_.register_flow(
+  shard_.flows.register_flow(
       "hpss_archive_flow",
       [this](flow::FlowContext ctx) { return hpss_archive_flow(ctx); },
       archive_opts, archive_spec);
@@ -161,7 +159,7 @@ void Facility::register_flows() {
   publish_spec.tasks = {
       task_spec("publish_volume", "publish_volume", {}, false, false),
   };
-  flows_.register_flow(
+  shard_.flows.register_flow(
       "publish_volume",
       [this](flow::FlowContext ctx) { return publish_volume_flow(ctx); },
       publish_opts, publish_spec);
@@ -170,15 +168,15 @@ void Facility::register_flows() {
   // work-pool declaration check.
   flow::FlowOptions prune_opts;
   prune_opts.work_pool = "default";
-  flows_.register_flow(
+  shard_.flows.register_flow(
       "prune_beamline",
       [this](flow::FlowContext) { return prune_endpoint_flow(&beamline_data_); },
       prune_opts, flow::FlowSpec{});
-  flows_.register_flow(
+  shard_.flows.register_flow(
       "prune_cfs",
       [this](flow::FlowContext) { return prune_endpoint_flow(&cfs_); },
       prune_opts, flow::FlowSpec{});
-  flows_.register_flow(
+  shard_.flows.register_flow(
       "prune_eagle",
       [this](flow::FlowContext) { return prune_endpoint_flow(&eagle_); },
       prune_opts, flow::FlowSpec{});
@@ -209,11 +207,11 @@ sim::Future<Status> Facility::new_file_832(flow::FlowContext ctx) {
         spec.files = {{raw_path, raw_path}};
         spec.verify_checksum = config_.verify_checksums;
         spec.label = "new_file_832:stage";
-        spec.trace_parent = flows_.task_span(run_id);
+        spec.trace_parent = shard_.flows.task_span(run_id);
         auto outcome = co_await globus_.submit(std::move(spec));
         co_return outcome.status;
       };
-  Status copied = co_await flows_.run_task(
+  Status copied = co_await shard_.flows.run_task(
       ctx, "copy_to_data_server", std::move(copied_task),
       keyed(ctx, "copy_to_data_server"));
   if (!copied.ok()) co_return copied;
@@ -228,7 +226,7 @@ sim::Future<Status> Facility::new_file_832(flow::FlowContext ctx) {
                            scan.as_fields());
         co_return Status::success();
       };
-  co_return co_await flows_.run_task(
+  co_return co_await shard_.flows.run_task(
       ctx, "scicat_ingest", std::move(scicat_ingest_task),
       keyed(ctx, "scicat_ingest"));
 }
@@ -251,11 +249,11 @@ sim::Future<Status> Facility::recon_route_flow(flow::FlowContext ctx,
         spec.files = {{raw_path, remote_raw}};
         spec.verify_checksum = config_.verify_checksums;
         spec.label = route->out_label;
-        spec.trace_parent = flows_.task_span(run_id);
+        spec.trace_parent = shard_.flows.task_span(run_id);
         auto outcome = co_await globus_.submit(std::move(spec));
         co_return outcome.status;
       };
-  Status moved = co_await flows_.run_task(
+  Status moved = co_await shard_.flows.run_task(
       ctx, route->to_remote_task, std::move(moved_task),
       keyed(ctx, route->to_remote_task));
   if (!moved.ok()) co_return moved;
@@ -278,14 +276,14 @@ sim::Future<Status> Facility::recon_route_flow(flow::FlowContext ctx,
           job.staging_seconds +=
               double(scan.raw_bytes()) / config_.pscratch_stage_rate;
         }
-        job.trace_parent = flows_.task_span(run_id);
+        job.trace_parent = shard_.flows.task_span(run_id);
         auto outcome = co_await route->adapter->run(job);
         if (!outcome.status.ok()) co_return outcome.status;
         co_return route->remote->put(remote_recon,
                                      Bytes(double(scan.recon_bytes()) * 1.3),
                                      fnv1a64(remote_recon), eng_.now());
       };
-  Status recon = co_await flows_.run_task(
+  Status recon = co_await shard_.flows.run_task(
       ctx, route->recon_task, std::move(recon_task),
       keyed(ctx, route->recon_task));
   if (!recon.ok()) co_return recon;
@@ -300,11 +298,11 @@ sim::Future<Status> Facility::recon_route_flow(flow::FlowContext ctx,
         spec.files = {{remote_recon, back_path}};
         spec.verify_checksum = config_.verify_checksums;
         spec.label = route->back_label;
-        spec.trace_parent = flows_.task_span(run_id);
+        spec.trace_parent = shard_.flows.task_span(run_id);
         auto outcome = co_await globus_.submit(std::move(spec));
         co_return outcome.status;
       };
-  Status back = co_await flows_.run_task(
+  Status back = co_await shard_.flows.run_task(
       ctx, "globus_back_to_beamline", std::move(back_task),
       keyed(ctx, "globus_back_to_beamline"));
   if (!back.ok()) co_return back;
@@ -322,7 +320,7 @@ sim::Future<Status> Facility::recon_route_flow(flow::FlowContext ctx,
                        parent == raw_pids_.end() ? "" : parent->second);
         co_return Status::success();
       };
-  co_return co_await flows_.run_task(
+  co_return co_await shard_.flows.run_task(
       ctx, "scicat_derived", std::move(scicat_derived_task),
       keyed(ctx, "scicat_derived"));
 }
@@ -345,11 +343,11 @@ sim::Future<Status> Facility::hpss_archive_flow(flow::FlowContext ctx) {
                       {cfs_recon, "/archive" + cfs_recon}};
         spec.verify_checksum = config_.verify_checksums;
         spec.label = "hpss:archive";
-        spec.trace_parent = flows_.task_span(run_id);
+        spec.trace_parent = shard_.flows.task_span(run_id);
         auto outcome = co_await globus_.submit(std::move(spec));
         co_return outcome.status;
       };
-  co_return co_await flows_.run_task(
+  co_return co_await shard_.flows.run_task(
       ctx, "archive_to_tape", std::move(archive_task),
       keyed(ctx, "archive_to_tape"));
 }
@@ -385,7 +383,7 @@ sim::Future<Status> Facility::publish_volume_flow(flow::FlowContext ctx) {
         staged_volumes_.erase(key);
         co_return Status::success();
       };
-  co_return co_await flows_.run_task(
+  co_return co_await shard_.flows.run_task(
       ctx, "publish_volume", std::move(publish_task),
       keyed(ctx, "publish_volume"));
 }
@@ -437,8 +435,8 @@ void Facility::bind_chaos(chaos::ChaosEngine& chaos) {
                                        &eagle_, &hpss_, &cloud_s3_}) {
     chaos.bind_endpoint(ep);
   }
-  chaos.bind_flow_engine(&flows_);
-  chaos.bind_run_db(&db_);
+  chaos.bind_flow_engine(&shard_.flows);
+  chaos.bind_run_db(&shard_.db);
 }
 
 void Facility::start_background_load(Seconds duration) {
@@ -446,9 +444,9 @@ void Facility::start_background_load(Seconds duration) {
 }
 
 void Facility::start_pruning(Seconds period) {
-  flows_.schedule_periodic("prune_beamline", period, period * 0.5);
-  flows_.schedule_periodic("prune_cfs", period, period * 0.6);
-  flows_.schedule_periodic("prune_eagle", period, period * 0.7);
+  shard_.flows.schedule_periodic("prune_beamline", period, period * 0.5);
+  shard_.flows.schedule_periodic("prune_cfs", period, period * 0.6);
+  shard_.flows.schedule_periodic("prune_eagle", period, period * 0.7);
 }
 
 sim::Future<ScanOutcome> Facility::process_scan_impl(data::ScanMetadata scan,
@@ -486,7 +484,7 @@ sim::Future<ScanOutcome> Facility::process_scan_impl(data::ScanMetadata scan,
 
   // Staging + metadata flow, then the scheduler places the recon: both DOE
   // sites under static_dual, one chosen site (with failover) otherwise.
-  auto new_file = co_await flows_.run_flow("new_file_832", scan.scan_id);
+  auto new_file = co_await shard_.flows.run_flow("new_file_832", scan.scan_id);
   outcome.new_file_status = new_file.status;
 
   sched::ScanRequest req;
@@ -495,13 +493,13 @@ sim::Future<ScanOutcome> Facility::process_scan_impl(data::ScanMetadata scan,
   req.recon_bytes = scan.recon_bytes();
   req.nz = scan.rows;
   req.n = scan.cols;
-  outcome.recon = co_await scheduler_.submit(std::move(req));
+  outcome.recon = co_await shard_.scheduler.submit(std::move(req));
   if (options.archive) {
     // Tape archival needs the products on CFS, so only a completed NERSC
     // run triggers it (background; scan completion does not wait on tape).
     for (const sched::AttemptRecord& a : outcome.recon.attempts) {
       if (a.facility == "nersc" && a.result == "completed") {
-        flows_.submit_flow("hpss_archive_flow", scan.scan_id);
+        shard_.flows.submit_flow("hpss_archive_flow", scan.scan_id);
         break;
       }
     }

@@ -2,11 +2,12 @@
 //
 // A Facility owns every operational layer on one simulation engine:
 //   Acquisition  — Detector -> PVA mirror -> FileWriterService
-//   Orchestration— FlowEngine + RunDatabase with the production flows
-//                  (new_file_832 plus one route-table recon flow per
-//                  facility: nersc, alcf, cloud) and scheduled pruning
-//                  flows; a FederatedScheduler places every scan's
-//                  reconstruction under FacilityConfig::policy
+//   Orchestration— one sched::Shard: FlowEngine + RunDatabase with the
+//                  production flows (new_file_832 plus one route-table
+//                  recon flow per facility: nersc, alcf, cloud) and
+//                  scheduled pruning flows; its FederatedScheduler places
+//                  every scan's reconstruction under
+//                  FacilityConfig::policy
 //   Movement     — Globus TransferService over the sites' ESnet links;
 //                  streaming via the PVA mirror + ZeroMQ return path
 //   Compute      — the shared sched::Sites: Perlmutter (Slurm + SFAPI,
@@ -36,7 +37,6 @@
 #include "net/pubsub.hpp"
 #include "pipeline/streaming_service.hpp"
 #include "sched/directory.hpp"
-#include "sched/policy.hpp"
 #include "sched/scheduler.hpp"
 #include "sched/sites.hpp"
 #include "sim/engine.hpp"
@@ -104,15 +104,15 @@ class Facility {
   transfer::TransferService& globus() { return globus_; }
   hpc::SlurmCluster& perlmutter() { return sites_.perlmutter(); }
   hpc::GlobusComputeEndpoint& polaris() { return sites_.polaris(); }
-  flow::FlowEngine& flows() { return flows_; }
-  flow::RunDatabase& run_db() { return db_; }
+  flow::FlowEngine& flows() { return shard_.flows; }
+  flow::RunDatabase& run_db() { return shard_.db; }
   catalog::SciCatalog& scicat() { return scicat_; }
   access::TiledService& tiled() { return tiled_; }
   StreamingService& streaming() { return streaming_; }
   hpc::NerscSlurmAdapter& nersc_adapter() { return sites_.nersc(); }
   net::Link& esnet_nersc() { return sites_.esnet_nersc(); }
   sched::FacilityDirectory& directory() { return sites_.directory(); }
-  sched::FederatedScheduler& scheduler() { return scheduler_; }
+  sched::FederatedScheduler& scheduler() { return shard_.scheduler; }
 
   // Bind every named component to `chaos`, so a scenario can target any of
   // them by name: the beamline LAN, the transfer service, the storage
@@ -217,9 +217,12 @@ class Facility {
   // Compute: the shared sites, their ESnet links and directory rows.
   sched::Sites sites_;
 
-  // Orchestration + access.
-  flow::RunDatabase db_;
-  flow::FlowEngine flows_;
+  // Orchestration: the run database, the flow engine, and the placement
+  // policy and scheduler over sites_'s directory. Constructing it
+  // schedules no sim event, so its place among the members moves none.
+  sched::Shard shard_;
+
+  // Access.
   catalog::SciCatalog scicat_;
   access::TiledService tiled_;
   // Volumes handed to stage_volume, awaiting the publish_volume flow.
@@ -240,15 +243,13 @@ class Facility {
   Bytes raw_bytes_ingested_ = 0;
   std::vector<ScanOutcome> outcomes_;
 
-  // Federated scheduling. Appended after the older members, and none of
-  // these schedules a simulation event at construction: that keeps
-  // static_dual campaigns byte-identical to BENCH_chaos_campaign.json.
+  // Recon routes. Appended after the older members, and none of these
+  // schedules a simulation event at construction: that keeps static_dual
+  // campaigns byte-identical to BENCH_chaos_campaign.json.
   storage::StorageEndpoint cloud_s3_;
   ReconRoute nersc_route_;
   ReconRoute alcf_route_;
   ReconRoute cloud_route_;
-  std::unique_ptr<sched::PlacementPolicy> policy_;
-  sched::FederatedScheduler scheduler_;
 };
 
 }  // namespace alsflow::pipeline

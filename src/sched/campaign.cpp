@@ -15,23 +15,15 @@ FleetWorld::FleetWorld(FleetCampaignConfig config)
     : config_(std::move(config)),
       sites_(eng_, "recon_nersc", "recon_alcf", "recon_cloud"),
       chaos_(eng_) {
-  fleet_ = std::make_unique<Fleet>(eng_, sites_.directory(), config_.policy,
-                                   config_.scheduler);
   for (int b = 0; b < config_.beamlines; ++b) {
-    char name[16];
-    std::snprintf(name, sizeof name, "bl-%02d", b + 1);
-    fleet_->add_shard(name,
-                      [this](const std::string& beamline,
-                             flow::FlowEngine& flows) {
-                        register_shard_flows(beamline, flows);
-                      });
+    Shard& shard = shards_.emplace_back(eng_, sites_.directory(),
+                                        config_.policy, config_.scheduler);
+    register_shard_flows(shard.flows);
   }
   sites_.bind_chaos(chaos_);
 }
 
-void FleetWorld::register_shard_flows(const std::string& beamline,
-                                      flow::FlowEngine& flows) {
-  (void)beamline;
+void FleetWorld::register_shard_flows(flow::FlowEngine& flows) {
   // Orchestration itself must not be the bottleneck at fleet scale:
   // queueing belongs at the facilities (Slurm, pilot pool), not the pool.
   flows.set_pool_limit("fleet", 32);
@@ -126,12 +118,13 @@ FleetCampaignReport FleetWorld::run() {
     // Phase-offset the shards so the fleet's aggregate arrivals are smooth.
     const Seconds offset = config_.scan_interval * double(b) /
                            double(std::max(1, config_.beamlines));
+    FederatedScheduler* scheduler = &shards_[std::size_t(b)].scheduler;
     for (int i = 0; i < config_.scans_per_beamline; ++i) {
       ScanRequest scan = make_scan(&rng, beamline, i);
       scans_[scan.scan_id] = scan;
       const Seconds at = offset + config_.scan_interval * double(i);
-      eng_.schedule_at(at, [this, beamline, scan, &results] {
-        results.push_back(fleet_->submit(beamline, scan).state());
+      eng_.schedule_at(at, [scheduler, scan, &results] {
+        results.push_back(scheduler->submit(scan).state());
       });
     }
   }
@@ -166,9 +159,13 @@ FleetCampaignReport FleetWorld::run() {
     std::sort(turnarounds.begin(), turnarounds.end());
     rep.turnaround_p99 = percentile_sorted(turnarounds, 0.99);
   }
-  rep.placements = fleet_->placements();
-  rep.failovers = fleet_->failovers();
-  rep.hedges = fleet_->hedges_launched();
+  for (const Shard& shard : shards_) {
+    for (const auto& [facility, n] : shard.scheduler.placements()) {
+      rep.placements[facility] += n;
+    }
+    rep.failovers += shard.scheduler.failovers();
+    rep.hedges += shard.scheduler.hedges_launched();
+  }
   return rep;
 }
 

@@ -5,12 +5,12 @@
 // stack at scale: the shared compute sites (sched::Sites: Slurm + SFAPI
 // behind the NERSC adapter, a Globus Compute pilot pool behind the ALCF
 // adapter, an elastic cloud-burst adapter, one ESnet link per site, and
-// the FacilityDirectory over all of it) and a sched::Fleet with one
-// FlowEngine + RunDatabase shard per beamline. Each shard registers the
-// same three-task recon flow per site (stage raw out -> reconstruct ->
-// stage products back), parameterized by scan id, with idempotency keys
-// so failover resubmission skips completed stages. Every scan goes through
-// its shard's FederatedScheduler.
+// the FacilityDirectory over all of it) and one sched::Shard per beamline,
+// so each beamline keeps its own run history, idempotency ledger and work
+// pool. Each shard registers the same three-task recon flow per site
+// (stage raw out -> reconstruct -> stage products back), parameterized by
+// scan id, with idempotency keys so failover resubmission skips completed
+// stages. Every scan goes through its shard's FederatedScheduler.
 //
 // The "static_dual" policy is the paper's baseline: every scan runs the
 // NERSC *and* ALCF flows to completion (no decision, double the work) —
@@ -19,8 +19,8 @@
 #pragma once
 
 #include <cstdint>
+#include <deque>
 #include <map>
-#include <memory>
 #include <string>
 
 #include "chaos/chaos_engine.hpp"
@@ -30,7 +30,6 @@
 #include "common/units.hpp"
 #include "hpc/adapter.hpp"
 #include "sched/directory.hpp"
-#include "sched/fleet.hpp"
 #include "sched/policy.hpp"
 #include "sched/scheduler.hpp"
 #include "sched/sites.hpp"
@@ -86,7 +85,8 @@ class FleetWorld {
   FleetCampaignReport run();
 
   sim::Engine& engine() { return eng_; }
-  Fleet& fleet() { return *fleet_; }
+  // One shard per beamline, in beamline order.
+  const std::deque<Shard>& shards() const { return shards_; }
   FacilityDirectory& directory() { return sites_.directory(); }
   chaos::ChaosEngine& chaos() { return chaos_; }
   hpc::ComputeAdapter& nersc_adapter() { return sites_.nersc(); }
@@ -99,15 +99,14 @@ class FleetWorld {
   // the world outlive every flow run (astcheck coroutine-ref-param).
   sim::Future<Status> recon_flow(flow::FlowContext ctx,
                                  const FacilityInfo* site);
-  void register_shard_flows(const std::string& beamline,
-                            flow::FlowEngine& flows);
+  void register_shard_flows(flow::FlowEngine& flows);
 
   ScanRequest make_scan(Rng* rng, const std::string& beamline, int index);
 
   FleetCampaignConfig config_;
   sim::Engine eng_;
   Sites sites_;  // shared by every beamline
-  std::unique_ptr<Fleet> fleet_;
+  std::deque<Shard> shards_;  // a deque: emplace_back moves no Shard
   chaos::ChaosEngine chaos_;
   std::map<std::string, ScanRequest> scans_;
 };

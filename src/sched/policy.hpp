@@ -140,8 +140,8 @@ class HedgedPolicy : public PlacementPolicy {
 };
 
 // Factory for the shipped policies ("static_dual" | "round_robin" |
-// "greedy" | "hedged"); nullptr for unknown names. Fleet shards each get
-// their own instance so per-policy state (the round-robin cursor) stays
+// "greedy" | "hedged"); nullptr for unknown names. Each sched::Shard gets
+// its own instance so per-policy state (the round-robin cursor) stays
 // shard-local.
 std::unique_ptr<PlacementPolicy> make_policy(const std::string& name);
 

@@ -28,6 +28,12 @@ FederatedScheduler::FederatedScheduler(sim::Engine& eng,
                                        SchedulerConfig cfg)
     : eng_(eng), flows_(flows), dir_(directory), policy_(policy), cfg_(cfg) {}
 
+Shard::Shard(sim::Engine& eng, FacilityDirectory& directory,
+             const std::string& policy_name, SchedulerConfig cfg)
+    : flows(eng, db),
+      policy(require_policy(policy_name)),
+      scheduler(eng, flows, directory, *policy, cfg) {}
+
 sim::Future<flow::FlowRunResult> FederatedScheduler::launch(
     const std::string& facility, const std::string& scan_id) {
   dir_.note_placed(facility);

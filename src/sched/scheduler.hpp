@@ -38,17 +38,19 @@
 // expiry fails over nowhere, and the scan completes when every site's
 // loop has. It is counted, and its turnaround reported, once.
 //
-// Sim-thread only; one scheduler per beamline shard (see sched::Fleet).
+// Sim-thread only; one scheduler per orchestration shard (sched::Shard).
 #pragma once
 
 #include <cstddef>
 #include <map>
+#include <memory>
 #include <string>
 #include <vector>
 
 #include "common/telemetry.hpp"
 #include "common/units.hpp"
 #include "flow/engine.hpp"
+#include "flow/run_db.hpp"
 #include "sched/directory.hpp"
 #include "sched/policy.hpp"
 #include "sim/engine.hpp"
@@ -148,6 +150,28 @@ class FederatedScheduler {
   std::size_t lost_ = 0;
   std::size_t failovers_ = 0;
   std::size_t hedges_ = 0;
+};
+
+// One orchestration shard: a run database, the flow engine that writes
+// to it, a placement policy and the scheduler over them. In the paper
+// this is one beamline's Prefect server, whose run database answers
+// Table 2. The Facility owns one shard and FleetWorld one per beamline;
+// the shards of a world share its sim engine and facility directory, so
+// placements still see the whole world's load. None of the four members
+// schedules a sim event when it is constructed.
+struct Shard {
+  // Aborts with a log line, in every build, on an unknown policy name
+  // (require_policy).
+  Shard(sim::Engine& eng, FacilityDirectory& directory,
+        const std::string& policy_name, SchedulerConfig cfg = {});
+  // The flow engine and the scheduler hold the other members' addresses.
+  Shard(const Shard&) = delete;
+  Shard& operator=(const Shard&) = delete;
+
+  flow::RunDatabase db;
+  flow::FlowEngine flows;
+  std::unique_ptr<PlacementPolicy> policy;
+  FederatedScheduler scheduler;
 };
 
 }  // namespace alsflow::sched

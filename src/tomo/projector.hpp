@@ -2,7 +2,7 @@
 //
 // The forward projector is pixel-driven with linear splatting; its exact
 // adjoint (back_project_adjoint) pairs with it for iterative methods
-// (SIRT/MLEM need a matched <Ax, y> = <x, A^T y> pair). fbp_backproject is
+// (SIRT needs a matched <Ax, y> = <x, A^T y> pair). fbp_backproject is
 // the *scaled, interpolating* back-projector used by filtered
 // back-projection: combined with the ProjectionFilter convention it
 // reconstructs attenuation values at the correct amplitude.

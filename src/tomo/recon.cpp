@@ -21,7 +21,6 @@ const char* algorithm_name(Algorithm a) {
     case Algorithm::FBP: return "fbp";
     case Algorithm::Gridrec: return "gridrec";
     case Algorithm::SIRT: return "sirt";
-    case Algorithm::MLEM: return "mlem";
   }
   return "?";
 }
@@ -270,40 +269,6 @@ Image reconstruct_sirt(const Image& sinogram, const Geometry& geo,
   return x;
 }
 
-Image reconstruct_mlem(const Image& sinogram, const Geometry& geo,
-                       std::size_t n, int n_iterations) {
-  Image ones_sino(geo.n_angles, geo.n_det, 1.0f);
-  Image sens = back_project_adjoint(ones_sino, geo, n);  // A^T 1
-
-  Image x(n, n, 1.0f);
-  // Same hoisting as reconstruct_sirt: one projection and one ratio buffer
-  // reused across all iterations.
-  Image proj(geo.n_angles, geo.n_det);
-  Image ratio(n, n);
-  for (int it = 0; it < n_iterations; ++it) {
-    forward_project_into(x, geo, proj);
-    parallel::parallel_for_chunks(
-        0, proj.size(), [&](std::size_t cb, std::size_t ce) {
-          hotguard::HotRegion region("mlem.ratio");
-          for (std::size_t i = cb; i < ce; ++i) {
-            const float p = proj.data()[i];
-            const float b = std::max(sinogram.data()[i], 0.0f);
-            proj.data()[i] = p > kEps ? b / p : 0.0f;
-          }
-        });
-    back_project_adjoint_into(proj, geo, n, ratio);
-    parallel::parallel_for_chunks(
-        0, x.size(), [&](std::size_t cb, std::size_t ce) {
-          hotguard::HotRegion region("mlem.update");
-          for (std::size_t i = cb; i < ce; ++i) {
-            const float s = sens.data()[i];
-            x.data()[i] = s > kEps ? x.data()[i] * ratio.data()[i] / s : 0.0f;
-          }
-        });
-  }
-  return x;
-}
-
 Image reconstruct_slice(const Image& sinogram, const Geometry& geo,
                         std::size_t n, const ReconOptions& opts) {
   check_shape(sinogram, geo);
@@ -318,9 +283,6 @@ Image reconstruct_slice(const Image& sinogram, const Geometry& geo,
     case Algorithm::SIRT:
       out = reconstruct_sirt(sinogram, geo, n, opts.n_iterations,
                              opts.non_negative);
-      break;
-    case Algorithm::MLEM:
-      out = reconstruct_mlem(sinogram, geo, n, opts.n_iterations);
       break;
   }
   if (opts.non_negative && opts.algorithm != Algorithm::SIRT) {

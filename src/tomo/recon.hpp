@@ -7,7 +7,6 @@
 //   * Gridrec — direct Fourier reconstruction (projection-slice theorem
 //               with ramp density compensation), O(n^2 log n) per slice.
 //   * SIRT    — simultaneous iterative reconstruction, matched A / A^T.
-//   * MLEM    — multiplicative EM (non-negative data).
 #pragma once
 
 #include <cstddef>
@@ -19,14 +18,14 @@
 
 namespace alsflow::tomo {
 
-enum class Algorithm { FBP, Gridrec, SIRT, MLEM };
+enum class Algorithm { FBP, Gridrec, SIRT };
 
 const char* algorithm_name(Algorithm a);
 
 struct ReconOptions {
   Algorithm algorithm = Algorithm::FBP;
   FilterKind filter = FilterKind::SheppLogan;  // FBP / Gridrec
-  int n_iterations = 30;                       // SIRT / MLEM
+  int n_iterations = 30;                       // SIRT
   bool non_negative = false;                   // clamp negatives (SIRT/FBP)
 };
 
@@ -49,7 +48,5 @@ Image reconstruct_gridrec(const Image& sinogram, const Geometry& geo,
 Image reconstruct_sirt(const Image& sinogram, const Geometry& geo,
                        std::size_t n, int n_iterations,
                        bool non_negative = true);
-Image reconstruct_mlem(const Image& sinogram, const Geometry& geo,
-                       std::size_t n, int n_iterations);
 
 }  // namespace alsflow::tomo

@@ -36,29 +36,38 @@ sim::Future<TransferOutcome> TransferService::submit_impl(TransferSpec spec) {
   if (spec.src == nullptr || spec.dst == nullptr) {
     outcome.status = Error::make("invalid_argument", "null endpoint");
     outcome.finished_at = eng_.now();
-    finish_telemetry(span, "", outcome);
+    finish_telemetry(span, spec, outcome);
     record_outcome(outcome);
     co_return outcome;
   }
   net::Link* link = route(spec.src->name(), spec.dst->name());
-  const std::string route_label =
-      "route=\"" + spec.src->name() + "->" + spec.dst->name() + "\"";
   if (link == nullptr) {
     outcome.status = Error::make(
         "no_route", spec.src->name() + " -> " + spec.dst->name());
     outcome.finished_at = eng_.now();
-    finish_telemetry(span, route_label, outcome);
+    finish_telemetry(span, spec, outcome);
     record_outcome(outcome);
     co_return outcome;
   }
 
   co_await sim::delay(eng_, tuning_.per_task_overhead);
 
-  const std::string route_name = spec.src->name() + "->" + spec.dst->name();
+  // The route events' target, "src->dst". Callers build it under their
+  // own observing() check, and only once, so with no sink installed a
+  // transfer formats no route string, and a sink installed mid-transfer
+  // still sees the full target.
+  std::string route_name;
+  auto route_target = [&]() -> std::string_view {
+    if (route_name.empty()) {
+      route_name = spec.src->name() + "->" + spec.dst->name();
+    }
+    return route_name;
+  };
   // Per-file-attempt health events: value is a 0/1 success indicator, so a
   // window's mean is the observed attempt reliability on this route.
   auto emit_attempt = [&](bool ok, std::string_view detail) {
-    tel.emit(eng_.now(), "transfer", "file_attempt", route_name,
+    if (!tel.observing()) return;
+    tel.emit(eng_.now(), "transfer", "file_attempt", route_target(),
              ok ? 1.0 : 0.0, ok, detail);
   };
 
@@ -177,16 +186,18 @@ sim::Future<TransferOutcome> TransferService::submit_impl(TransferSpec spec) {
   // retries/backoff included — the figure the paper's bandwidth panels plot
   // per route.
   const Seconds took = outcome.finished_at - outcome.submitted_at;
-  tel.emit(eng_.now(), "transfer", "transfer_done", route_name,
-           took > 0.0 ? double(outcome.bytes_moved) / took : 0.0,
-           outcome.status);
-  finish_telemetry(span, route_label, outcome);
+  if (tel.observing()) {
+    tel.emit(eng_.now(), "transfer", "transfer_done", route_target(),
+             took > 0.0 ? double(outcome.bytes_moved) / took : 0.0,
+             outcome.status);
+  }
+  finish_telemetry(span, spec, outcome);
   record_outcome(outcome);
   co_return outcome;
 }
 
 void TransferService::finish_telemetry(telemetry::SpanId span,
-                                       const std::string& route_label,
+                                       const TransferSpec& spec,
                                        const TransferOutcome& outcome) {
   auto& tel = telemetry::global();
   tel.attr(span, "bytes_moved", std::uint64_t(outcome.bytes_moved));
@@ -198,6 +209,10 @@ void TransferService::finish_telemetry(telemetry::SpanId span,
   }
   tel.end(span, eng_.now());
   if (!tel.enabled()) return;
+  const std::string route_label =
+      spec.src == nullptr || spec.dst == nullptr
+          ? std::string()
+          : "route=\"" + spec.src->name() + "->" + spec.dst->name() + "\"";
   auto& m = tel.metrics();
   m.counter("alsflow_transfer_tasks_total", route_label).add();
   m.counter("alsflow_transfer_bytes_total", route_label)

@@ -119,8 +119,9 @@ class TransferService {
   net::Link* route(const std::string& src, const std::string& dst) const
       ALSFLOW_EXCLUDES(mu_);
   void record_outcome(const TransferOutcome& outcome) ALSFLOW_EXCLUDES(mu_);
-  // Close the transfer span and bump the per-route counters.
-  void finish_telemetry(telemetry::SpanId span, const std::string& route_label,
+  // Close the transfer span and bump the per-route counters, labelled
+  // route="src->dst" (unlabelled when an endpoint is missing).
+  void finish_telemetry(telemetry::SpanId span, const TransferSpec& spec,
                         const TransferOutcome& outcome);
 
   sim::Engine& eng_;

@@ -500,15 +500,15 @@ std::vector<std::string> fleet_sweep_violations(const char* policy,
   sched::FleetWorld world(cfg);
   const sched::FleetCampaignReport rep = world.run();
   std::vector<std::string> out;
-  if (world.fleet().scans_lost() != 0) out.push_back("a scan was lost");
   if (rep.completed != rep.offered) {
     out.push_back(std::to_string(rep.completed) + " of " +
                   std::to_string(rep.offered) + " scans completed");
   }
-  for (const auto& shard : world.fleet().shards()) {
-    for (const auto& run : shard->db->runs()) {
+  for (const sched::Shard& shard : world.shards()) {
+    if (shard.scheduler.scans_lost() != 0) out.push_back("a scan was lost");
+    for (const auto& run : shard.db.runs()) {
       if (!flow::is_terminal(run.state)) {
-        out.push_back(shard->beamline + " " + run.flow_name + " run " +
+        out.push_back(run.parameters + " " + run.flow_name + " run " +
                       run.id + " left " + flow::run_state_name(run.state));
       }
     }

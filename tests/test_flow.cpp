@@ -45,6 +45,20 @@ TEST(RunDb, DurationSummaryLastN) {
   EXPECT_DOUBLE_EQ(s.mean, 17.0);
   EXPECT_DOUBLE_EQ(s.min, 15.0);
   EXPECT_DOUBLE_EQ(s.max, 19.0);
+
+  // "Last N" is the last N created: a run created first and finished last
+  // is the oldest, however late it completes.
+  RunDatabase late;
+  const auto slow = late.create_run("f", 0.0);
+  for (int i = 1; i <= 4; ++i) {
+    auto id = late.create_run("f", double(i * 100));
+    late.mark_finished(id, RunState::Completed, double(i * 100 + 10));
+  }
+  late.mark_finished(slow, RunState::Completed, 1000.0);
+  auto last3 = late.duration_summary("f", 3);
+  EXPECT_EQ(last3.n, 3u);
+  EXPECT_DOUBLE_EQ(last3.max, 10.0);
+  EXPECT_DOUBLE_EQ(late.duration_summary("f", 5).max, 1000.0);
 }
 
 TEST(RunDb, SummaryIgnoresFailures) {

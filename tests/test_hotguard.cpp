@@ -257,8 +257,6 @@ TEST_F(HotGuardTest, HoistedKernelsRunAllocationFreeInSteadyState) {
     opts.algorithm = tomo::Algorithm::SIRT;
     opts.n_iterations = 2;
     tomo::reconstruct_slice(sino, geo, kN, opts);
-    opts.algorithm = tomo::Algorithm::MLEM;
-    tomo::reconstruct_slice(sino, geo, kN, opts);
     opts.algorithm = tomo::Algorithm::Gridrec;
     tomo::reconstruct_volume(sinos, geo, kN, opts);
     std::vector<std::complex<double>> buf(128 * 128, {1.0, 0.0});

@@ -387,15 +387,14 @@ INSTANTIATE_TEST_SUITE_P(Seeds, StatsSweep,
                          ::testing::Values(7, 17, 27, 37, 47, 57));
 
 // ---------------------------------------------------------------------------
-// Quantiles: min <= p50 <= p95 <= p99 <= max for the single-database and
-// the merged (sharded) task-duration queries, and for histogram estimates.
+// Quantiles: min <= p50 <= p95 <= p99 <= max for the run database's
+// task-duration query and for histogram estimates.
 // ---------------------------------------------------------------------------
 class QuantileSweep : public ::testing::TestWithParam<std::uint64_t> {};
 
 TEST_P(QuantileSweep, OrderedAndInsideObservedRange) {
   Rng rng(GetParam());
-  std::vector<flow::RunDatabase> shards(3);
-  flow::RunDatabase unsharded;
+  flow::RunDatabase db;
   telemetry::Histogram hist(
       {0.5, 1, 2, 5, 10, 20, 40, 80, 160, 320, 640, 1280, 2560, 5120});
   std::vector<double> durations;
@@ -412,27 +411,21 @@ TEST_P(QuantileSweep, OrderedAndInsideObservedRange) {
     rec.state = flow::RunState::Completed;
     rec.started_at = t;
     rec.finished_at = t + d;
-    shards[std::size_t(i) % shards.size()].record_task(rec);
-    unsharded.record_task(rec);
+    db.record_task(rec);
     hist.observe(rec.finished_at - rec.started_at);
     durations.push_back(rec.finished_at - rec.started_at);
   }
   const Summary exact = summarize(durations);
   const std::size_t kAll = 1u << 20;
-  const std::vector<const flow::RunDatabase*> dbs = {&shards[0], &shards[1],
-                                                     &shards[2]};
-  for (const auto& q :
-       {unsharded.task_duration_quantiles("", "recon", kAll),
-        flow::merged_task_duration_quantiles(dbs, "", "recon", kAll)}) {
-    EXPECT_EQ(q.n, std::size_t(n));
-    EXPECT_LE(exact.min, q.p50);
-    EXPECT_LE(q.p50, q.p95);
-    EXPECT_LE(q.p95, q.p99);
-    EXPECT_LE(q.p99, exact.max);
-    // Exact order statistics: the median is the summary's median.
-    EXPECT_DOUBLE_EQ(q.p50, exact.median);
-    EXPECT_DOUBLE_EQ(q.p95, exact.p95);
-  }
+  const auto q = db.task_duration_quantiles("", "recon", kAll);
+  EXPECT_EQ(q.n, std::size_t(n));
+  EXPECT_LE(exact.min, q.p50);
+  EXPECT_LE(q.p50, q.p95);
+  EXPECT_LE(q.p95, q.p99);
+  EXPECT_LE(q.p99, exact.max);
+  // Exact order statistics: the median is the summary's median.
+  EXPECT_DOUBLE_EQ(q.p50, exact.median);
+  EXPECT_DOUBLE_EQ(q.p95, exact.p95);
   // Bucket estimates stay ordered and clamped to the observed range.
   double prev = exact.min;
   for (double q : {0.0, 0.05, 0.5, 0.95, 0.99, 1.0}) {

@@ -14,15 +14,11 @@
 //                      (failover resubmission rides the idempotency
 //                      ledger) and the whole faulted campaign is
 //                      byte-identical across runs (the digest pins it).
-//   merged queries   — the sharded Table-2 path over per-beamline run
-//                      databases reproduces what one unsharded database
-//                      over the same runs reports, exactly.
 //   allocation budget — operator new calls per simulated scan stay within
 //                      budget on bench_sim_engine's rigs
 //                      (bench/sim_engine_rigs.hpp).
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <cstddef>
 #include <memory>
 #include <string>
@@ -37,7 +33,6 @@
 #include "sim/engine.hpp"
 #include "sched/campaign.hpp"
 #include "sched/directory.hpp"
-#include "sched/fleet.hpp"
 #include "sched/policy.hpp"
 #include "sched/scheduler.hpp"
 #include "sim_engine_rigs.hpp"
@@ -310,7 +305,7 @@ struct ReplicaRig {
   };
 
   explicit ReplicaRig(std::vector<Site> sites, SchedulerConfig cfg = {})
-      : flows(eng, db) {
+      : shard(eng, dir, "static_dual", cfg) {
     for (const Site& site : sites) {
       adapters.push_back(
           std::make_unique<hpc::CloudBurstAdapter>(eng, hpc::ComputeModel{}));
@@ -321,28 +316,24 @@ struct ReplicaRig {
       dir.add(info);
       sim::Engine* e = &eng;
       auto runs = std::make_shared<int>(0);
-      flows.register_flow(info.flow_name, [e, site, runs](flow::FlowContext) {
-        const bool fail = (*runs)++ < site.failing_runs;
-        return finish_after(e, site.dt, fail ? site.error : nullptr);
-      });
+      shard.flows.register_flow(
+          info.flow_name, [e, site, runs](flow::FlowContext) {
+            const bool fail = (*runs)++ < site.failing_runs;
+            return finish_after(e, site.dt, fail ? site.error : nullptr);
+          });
     }
-    scheduler = std::make_unique<FederatedScheduler>(eng, flows, dir,
-                                                     policy, cfg);
   }
 
   ScanResult run_one() {
-    auto fut = scheduler->submit(small_request());
+    auto fut = shard.scheduler.submit(small_request());
     eng.run();
     return fut.value();
   }
 
   sim::Engine eng;
-  flow::RunDatabase db;
-  flow::FlowEngine flows;
   std::vector<std::unique_ptr<hpc::CloudBurstAdapter>> adapters;
   FacilityDirectory dir;
-  StaticDualPolicy policy;
-  std::unique_ptr<FederatedScheduler> scheduler;
+  Shard shard;
 };
 
 TEST(ReplicatedPlacement, FailedReplicaIsRelaunchedOnlyAtItsSite) {
@@ -367,14 +358,14 @@ TEST(ReplicatedPlacement, FailedReplicaIsRelaunchedOnlyAtItsSite) {
   EXPECT_EQ(res.attempts[budget].result, "completed");
   EXPECT_DOUBLE_EQ(res.turnaround(), 10.0 * double(budget));
   // Relaunched at its own site, never elsewhere.
-  EXPECT_EQ(rig.db.runs("recon_nersc").size(), budget);
-  EXPECT_EQ(rig.db.runs("recon_alcf").size(), 1u);
-  EXPECT_TRUE(rig.db.runs("recon_cloud").empty());
-  EXPECT_EQ(rig.scheduler->hedges_launched(), 0u);
+  EXPECT_EQ(rig.shard.db.runs("recon_nersc").size(), budget);
+  EXPECT_EQ(rig.shard.db.runs("recon_alcf").size(), 1u);
+  EXPECT_TRUE(rig.shard.db.runs("recon_cloud").empty());
+  EXPECT_EQ(rig.shard.scheduler.hedges_launched(), 0u);
   // One scan, counted once.
-  EXPECT_EQ(rig.scheduler->scans_submitted(), 1u);
-  EXPECT_EQ(rig.scheduler->scans_completed(), 0u);
-  EXPECT_EQ(rig.scheduler->scans_lost(), 1u);
+  EXPECT_EQ(rig.shard.scheduler.scans_submitted(), 1u);
+  EXPECT_EQ(rig.shard.scheduler.scans_completed(), 0u);
+  EXPECT_EQ(rig.shard.scheduler.scans_lost(), 1u);
   EXPECT_EQ(rig.dir.inflight("nersc"), 0u);
   EXPECT_EQ(rig.dir.inflight("alcf"), 0u);
 }
@@ -396,13 +387,13 @@ TEST(ReplicatedPlacement, RelaunchedReplicaCompletesTheScan) {
   EXPECT_EQ(res.attempts[3].facility, "alcf");
   EXPECT_EQ(res.attempts[3].result, "completed");
   EXPECT_DOUBLE_EQ(res.turnaround(), 50.0);
-  const auto nersc_runs = rig.db.runs("recon_nersc");
+  const auto nersc_runs = rig.shard.db.runs("recon_nersc");
   ASSERT_EQ(nersc_runs.size(), 3u);
   EXPECT_EQ(res.flow_run_id, nersc_runs[2].id);  // the primary's winner
-  EXPECT_TRUE(rig.db.runs("recon_cloud").empty());
-  EXPECT_EQ(rig.scheduler->scans_submitted(), 1u);
-  EXPECT_EQ(rig.scheduler->scans_completed(), 1u);
-  EXPECT_EQ(rig.scheduler->scans_lost(), 0u);
+  EXPECT_TRUE(rig.shard.db.runs("recon_cloud").empty());
+  EXPECT_EQ(rig.shard.scheduler.scans_submitted(), 1u);
+  EXPECT_EQ(rig.shard.scheduler.scans_completed(), 1u);
+  EXPECT_EQ(rig.shard.scheduler.scans_lost(), 0u);
 }
 
 TEST(ReplicatedPlacement, SlowReplicaLaunchesNoFailover) {
@@ -417,10 +408,10 @@ TEST(ReplicatedPlacement, SlowReplicaLaunchesNoFailover) {
   EXPECT_TRUE(res.completed);
   EXPECT_EQ(res.facility, "nersc");  // the primary
   ASSERT_EQ(res.attempts.size(), 2u);
-  EXPECT_EQ(rig.scheduler->failovers(), 0u);
-  EXPECT_EQ(rig.scheduler->hedges_launched(), 0u);
+  EXPECT_EQ(rig.shard.scheduler.failovers(), 0u);
+  EXPECT_EQ(rig.shard.scheduler.hedges_launched(), 0u);
   EXPECT_FALSE(res.failed_over);
-  EXPECT_TRUE(rig.db.runs("recon_cloud").empty());
+  EXPECT_TRUE(rig.shard.db.runs("recon_cloud").empty());
   // Each attempt keeps its own finish time.
   EXPECT_DOUBLE_EQ(res.attempts[0].finished_at, 500.0);
   EXPECT_DOUBLE_EQ(res.attempts[1].finished_at, 50.0);
@@ -489,35 +480,13 @@ TEST(FacilityPolicy, UnknownPolicyNameAbortsInEveryBuild) {
                "unknown placement policy 'oracle'");
 }
 
-// Fleet names come from configs, so a bad one must stop the run in every
-// build type, not only where asserts are compiled in.
+// Fleet policy names come from configs, so a bad one must stop the run in
+// every build type, not only where asserts are compiled in.
 TEST(FleetPolicy, UnknownPolicyNameAbortsInEveryBuild) {
   testing::FLAGS_gtest_death_test_style = "threadsafe";
-  sim::Engine eng;
-  FacilityDirectory dir;
-  Fleet fleet(eng, dir, "oracle");
-  EXPECT_DEATH(fleet.add_shard("bl-0", nullptr),
-               "unknown placement policy 'oracle'");
-}
-
-TEST(FleetPolicy, DuplicateBeamlineAbortsInEveryBuild) {
-  testing::FLAGS_gtest_death_test_style = "threadsafe";
-  sim::Engine eng;
-  FacilityDirectory dir;
-  Fleet fleet(eng, dir, "greedy");
-  fleet.add_shard("bl-0", nullptr);
-  EXPECT_DEATH(fleet.add_shard("bl-0", nullptr),
-               "beamline shard 'bl-0' added twice");
-}
-
-TEST(FleetPolicy, UnknownBeamlineAbortsInEveryBuild) {
-  testing::FLAGS_gtest_death_test_style = "threadsafe";
-  sim::Engine eng;
-  FacilityDirectory dir;
-  Fleet fleet(eng, dir, "greedy");
-  fleet.add_shard("bl-0", nullptr);
-  EXPECT_DEATH(fleet.submit("bl-9", small_request()),
-               "unknown beamline shard 'bl-9'");
+  FleetCampaignConfig cfg;
+  cfg.policy = "oracle";
+  EXPECT_DEATH(FleetWorld world(cfg), "unknown placement policy 'oracle'");
 }
 
 // ---------------------------------------------------------------------------
@@ -589,90 +558,6 @@ TEST(FleetCampaign, HedgedPolicyCompletesDeadlineMix) {
   FleetCampaignReport rep = run_fleet_campaign(cfg);
   EXPECT_EQ(rep.completed, rep.offered);
   EXPECT_EQ(rep.lost, 0u);
-}
-
-// ---------------------------------------------------------------------------
-// Sharded merged queries == unsharded golden
-// ---------------------------------------------------------------------------
-
-TEST(FleetMergedQueries, MatchUnshardedDatabaseExactly) {
-  FleetCampaignConfig cfg;
-  cfg.beamlines = 4;
-  cfg.scans_per_beamline = 16;
-  cfg.policy = "round_robin";  // spreads runs over every shard + facility
-  FleetWorld world(cfg);
-  FleetCampaignReport rep = world.run();
-  ASSERT_EQ(rep.lost, 0u);
-
-  Fleet& fleet = world.fleet();
-  const std::size_t kAll = 1u << 20;  // cover every run
-  for (const char* flow_name : {"recon_nersc", "recon_alcf"}) {
-    // Rebuild one unsharded database holding the same completed runs, in
-    // the merge's global completion order, and ask it the Table-2 query.
-    std::vector<flow::FlowRunRecord> recs;
-    for (const flow::RunDatabase* db : fleet.run_dbs()) {
-      for (auto& rec :
-           db->runs_in_state(flow_name, flow::RunState::Completed)) {
-        recs.push_back(std::move(rec));
-      }
-    }
-    ASSERT_FALSE(recs.empty()) << flow_name;
-    std::sort(recs.begin(), recs.end(),
-              [](const flow::FlowRunRecord& a, const flow::FlowRunRecord& b) {
-                if (a.finished_at != b.finished_at) {
-                  return a.finished_at < b.finished_at;
-                }
-                if (a.created_at != b.created_at) {
-                  return a.created_at < b.created_at;
-                }
-                return a.id < b.id;
-              });
-    flow::RunDatabase golden;
-    for (const auto& rec : recs) {
-      const std::string id =
-          golden.create_run(flow_name, rec.created_at, rec.parameters);
-      golden.mark_finished(id, flow::RunState::Completed, rec.finished_at);
-    }
-
-    Summary merged = fleet.merged_duration_summary(flow_name, kAll);
-    Summary single = golden.duration_summary(flow_name, kAll);
-    EXPECT_EQ(merged.n, single.n);
-    EXPECT_DOUBLE_EQ(merged.mean, single.mean);
-    EXPECT_DOUBLE_EQ(merged.stddev, single.stddev);
-    EXPECT_DOUBLE_EQ(merged.median, single.median);
-    EXPECT_DOUBLE_EQ(merged.min, single.min);
-    EXPECT_DOUBLE_EQ(merged.max, single.max);
-    EXPECT_DOUBLE_EQ(merged.p05, single.p05);
-    EXPECT_DOUBLE_EQ(merged.p95, single.p95);
-
-    // Same for the per-task quantile query.
-    std::vector<std::pair<Seconds, double>> samples;
-    for (const flow::RunDatabase* db : fleet.run_dbs()) {
-      for (auto& s : db->completed_task_durations(flow_name, "recon")) {
-        samples.push_back(s);
-      }
-    }
-    ASSERT_FALSE(samples.empty()) << flow_name;
-    std::sort(samples.begin(), samples.end());
-    flow::RunDatabase task_golden;
-    for (const auto& [finished_at, duration] : samples) {
-      flow::TaskRunRecord t;
-      t.flow_run_id = "golden-run";
-      t.task_name = "recon";
-      t.state = flow::RunState::Completed;
-      t.attempts = 1;
-      t.started_at = finished_at - duration;
-      t.finished_at = finished_at;
-      task_golden.record_task(std::move(t));
-    }
-    auto merged_q =
-        fleet.merged_task_duration_quantiles(flow_name, "recon", kAll);
-    auto single_q = task_golden.task_duration_quantiles("", "recon", kAll);
-    EXPECT_EQ(merged_q.n, single_q.n);
-    EXPECT_DOUBLE_EQ(merged_q.p50, single_q.p50);
-    EXPECT_DOUBLE_EQ(merged_q.p95, single_q.p95);
-    EXPECT_DOUBLE_EQ(merged_q.p99, single_q.p99);
-  }
 }
 
 // ---------------------------------------------------------------------------

@@ -94,7 +94,7 @@ TEST(ForwardProject, OffCenterDotTracesSinusoid) {
 }
 
 TEST(Adjoint, DotProductIdentity) {
-  // <A x, y> == <x, A^T y> for random x, y — the property SIRT/MLEM rely on.
+  // <A x, y> == <x, A^T y> for random x, y — the property SIRT relies on.
   const std::size_t n = 32;
   Geometry geo{24, 40, -1.0};
   Rng rng(9);

@@ -106,27 +106,10 @@ TEST(Sirt, NonNegativeOutput) {
   for (float v : recon.span()) EXPECT_GE(v, 0.0f);
 }
 
-TEST(Mlem, ConvergesTowardPhantom) {
-  ReconCase c(48, 48);
-  Image sino = forward_project(c.phantom, c.geo);
-  Image it3 = reconstruct_mlem(sino, c.geo, c.n, 3);
-  Image it30 = reconstruct_mlem(sino, c.geo, c.n, 30);
-  EXPECT_LT(rmse(c.phantom, it30), rmse(c.phantom, it3));
-  EXPECT_GT(pearson_correlation(c.phantom, it30), 0.95);
-}
-
-TEST(Mlem, OutputIsNonNegative) {
-  ReconCase c(32, 32);
-  Image sino = forward_project(c.phantom, c.geo);
-  Image recon = reconstruct_mlem(sino, c.geo, c.n, 10);
-  for (float v : recon.span()) EXPECT_GE(v, 0.0f);
-}
-
 TEST(ReconstructSlice, DispatchesAllAlgorithms) {
   ReconCase c(32, 32);
   Image sino = forward_project(c.phantom, c.geo);
-  for (Algorithm algo : {Algorithm::FBP, Algorithm::Gridrec, Algorithm::SIRT,
-                         Algorithm::MLEM}) {
+  for (Algorithm algo : {Algorithm::FBP, Algorithm::Gridrec, Algorithm::SIRT}) {
     ReconOptions opts;
     opts.algorithm = algo;
     opts.n_iterations = 10;
@@ -232,8 +215,7 @@ TEST(ReconstructSlice, RejectsSinogramsThatDoNotMatchTheGeometry) {
   ReconCase c(32, 32);
   const Image too_few_angles(c.geo.n_angles - 1, c.geo.n_det);
   const Image wrong_n_det(c.geo.n_angles, c.geo.n_det + 1);
-  for (Algorithm algo : {Algorithm::FBP, Algorithm::Gridrec, Algorithm::SIRT,
-                         Algorithm::MLEM}) {
+  for (Algorithm algo : {Algorithm::FBP, Algorithm::Gridrec, Algorithm::SIRT}) {
     ReconOptions opts;
     opts.algorithm = algo;
     EXPECT_THROW(reconstruct_slice(too_few_angles, c.geo, c.n, opts),
@@ -291,7 +273,6 @@ TEST(AlgorithmNames, Stable) {
   EXPECT_STREQ(algorithm_name(Algorithm::FBP), "fbp");
   EXPECT_STREQ(algorithm_name(Algorithm::Gridrec), "gridrec");
   EXPECT_STREQ(algorithm_name(Algorithm::SIRT), "sirt");
-  EXPECT_STREQ(algorithm_name(Algorithm::MLEM), "mlem");
 }
 
 TEST(Fbp, OffCenterRotationAxisRecovered) {

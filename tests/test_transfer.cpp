@@ -1,5 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <string>
+
+#include "common/hot_guard.hpp"
+#include "common/telemetry.hpp"
 #include "net/link.hpp"
 #include "sim/engine.hpp"
 #include "storage/endpoint.hpp"
@@ -344,6 +349,40 @@ TEST(Transfer, ChecksumTimeCostModeled) {
   auto out_without = w2.run(std::move(without));
 
   EXPECT_NEAR(out_with.duration() - out_without.duration(), 10.0, 0.1);
+}
+
+// With tracing off and no sink, a transfer builds no route label or event
+// target, so its host cost does not depend on its endpoints' names. Every
+// name and path here fits std::string's inline buffer; "als-data" ->
+// "nersc-cfs" makes a route string that does not.
+TEST(Transfer, UnobservedTransferCostsTheSameForAnyEndpointNames) {
+  ASSERT_FALSE(telemetry::global().enabled());
+  ASSERT_FALSE(telemetry::global().observing());
+  auto allocations_per_transfer = [](const char* src, const char* dst) {
+    Engine eng;
+    StorageEndpoint from{src, Tier::BeamlineLocal, 100 * TiB};
+    StorageEndpoint to{dst, Tier::Cfs, 100 * TiB};
+    net::Link link{eng, "esnet", gbps(10), 0.05};
+    TransferService svc{eng};
+    svc.add_route(src, dst, &link);
+    constexpr int kTransfers = 200;
+    for (int i = 0; i < kTransfers; ++i) {
+      EXPECT_TRUE(from.put("/raw/" + std::to_string(i), GB, 1, 0.0).ok());
+    }
+    const std::uint64_t before = hotguard::allocations();
+    for (int i = 0; i < kTransfers; ++i) {
+      TransferSpec spec;
+      spec.src = &from;
+      spec.dst = &to;
+      spec.files = {{"/raw/" + std::to_string(i), "/x/" + std::to_string(i)}};
+      auto fut = svc.submit(std::move(spec));
+      eng.run();
+      EXPECT_TRUE(fut.value().status.ok());
+    }
+    return double(hotguard::allocations() - before) / kTransfers;
+  };
+  EXPECT_EQ(allocations_per_transfer("als-data", "nersc-cfs"),
+            allocations_per_transfer("a", "b"));
 }
 
 }  // namespace
